@@ -1,6 +1,7 @@
 # Repro build/check entry points.
 #
-#   make check   - everything CI runs: gofmt, vet, build, race tests (-short)
+#   make check   - everything CI runs: gofmt, vet, build, race tests (-short),
+#                  then the zero-allocation guards without the race detector
 #   make test    - full test suite without the race detector
 #   make bench   - throughput benchmarks -> BENCH_parallel.json (perf trajectory)
 #   make bench-smoke - 1x-iteration bench emit + BENCH_*.json schema validation (CI)
@@ -9,9 +10,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet build test test-race bench bench-smoke bench-all tables
+.PHONY: check fmt-check vet build test test-race test-alloc bench bench-smoke bench-all tables
 
-check: fmt-check vet build test-race
+check: fmt-check vet build test-race test-alloc
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -31,6 +32,11 @@ test:
 # keeping the whole run to a couple of minutes.
 test-race:
 	$(GO) test -race -short ./...
+
+# The zero-allocation guards (alloc_test.go) skip under -race, whose
+# instrumentation allocates, so they get a non-race run of their own.
+test-alloc:
+	$(GO) test -count=1 -run ZeroAllocs .
 
 # The perf-trajectory benchmarks: wall-clock parallel shards, per-config
 # throughput, replication degree and sharded sim throughput. Results land

@@ -322,6 +322,42 @@ func TestDBConformanceErrorTaxonomy(t *testing.T) {
 	}
 }
 
+// TestDBConformanceCrashedTx: a transaction whose primary crashes under
+// it reports the public ErrCrashed from every handle method, never the
+// engine's internal crash marker — the row of the errors.go table that
+// kv.Store relies on to mark itself broken.
+func TestDBConformanceCrashedTx(t *testing.T) {
+	for name, db := range conformanceTargets(t, replicatedCfg()) {
+		t.Run(name, func(t *testing.T) {
+			buf := make([]byte, 8)
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Touch shard 0 first, so a sharded handle holds an open
+			// per-shard transaction when the crash lands.
+			if err := tx.SetRange(0, 8); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CrashPrimary(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Write(0, buf); !errors.Is(err, repro.ErrCrashed) {
+				t.Fatalf("Write on crashed tx = %v, want ErrCrashed", err)
+			}
+			if err := tx.SetRange(0, 8); !errors.Is(err, repro.ErrCrashed) {
+				t.Fatalf("SetRange on crashed tx = %v, want ErrCrashed", err)
+			}
+			if err := tx.Read(0, buf); !errors.Is(err, repro.ErrCrashed) {
+				t.Fatalf("Read on crashed tx = %v, want ErrCrashed", err)
+			}
+			if err := tx.Abort(); !errors.Is(err, repro.ErrCrashed) {
+				t.Fatalf("Abort on crashed tx = %v, want ErrCrashed", err)
+			}
+		})
+	}
+}
+
 // TestDBConformanceReadRawBounds: an out-of-range ReadRaw panics with the
 // same contract on both facades (it used to silently no-op on the sharded
 // one).

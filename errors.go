@@ -164,10 +164,6 @@ func mapErr(err error) error {
 	switch {
 	case err == nil:
 		return nil
-	case errors.Is(err, vista.ErrCrashed):
-		// The store-level crash marker surfaces through charged reads on
-		// a dead node; fold it into the one public crashed sentinel.
-		return ErrCrashed
 	case errors.Is(err, replication.ErrNoBackup):
 		return ErrNoBackup
 	case errors.Is(err, replication.ErrNotRepairable):

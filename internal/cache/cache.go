@@ -13,6 +13,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -56,12 +57,17 @@ type Cache struct {
 	// enough to keep hot pages (logs, control words) resident.
 	tlb setAssoc
 
+	// pageShift and lineShift split addresses into pages and L3 lines.
+	pageShift, lineShift uint
+
 	stats Stats
 }
 
 // New returns a cold cache hierarchy charging latencies to clock.
 func New(p *sim.Params, clock *sim.Clock) *Cache {
 	c := &Cache{clock: clock, params: p}
+	c.pageShift = log2(p.PageSize)
+	c.lineShift = log2(p.L3Line)
 	c.l1.init(p.L1Size, p.L1Line)
 	c.l2.init(p.L2Size, p.L2Line, p.L2Assoc)
 	c.l3.init(p.L3Size, p.L3Line)
@@ -82,9 +88,8 @@ func (c *Cache) AccessVM(addr uint64, n int, write bool) {
 	if n <= 0 {
 		return
 	}
-	page := uint64(c.params.PageSize)
-	for p := addr / page; p <= (addr+uint64(n)-1)/page; p++ {
-		va := p * page
+	for p, last := addr>>c.pageShift, (addr+uint64(n)-1)>>c.pageShift; p <= last; p++ {
+		va := p << c.pageShift
 		if c.tlb.probe(va) {
 			continue
 		}
@@ -110,11 +115,10 @@ func (c *Cache) Access(addr uint64, n int, write bool) {
 	if n <= 0 {
 		return
 	}
-	line := uint64(c.params.L3Line)
-	first := addr / line
-	last := (addr + uint64(n) - 1) / line
+	first := addr >> c.lineShift
+	last := (addr + uint64(n) - 1) >> c.lineShift
 	for l := first; l <= last; l++ {
-		c.touchLine(l*line, write)
+		c.touchLine(l<<c.lineShift, write)
 	}
 }
 
@@ -176,33 +180,34 @@ func (c *Cache) Flush() {
 // directMapped is a direct-mapped tag array.
 type directMapped struct {
 	tags  []uint64 // tag+1, 0 = invalid
-	sets  uint64
+	mask  uint64   // sets-1
 	shift uint
 }
 
+// log2 returns the shift for a geometry value. Line, page and set counts
+// index by shift and mask, so every one must be a power of two.
 func log2(v int) uint {
-	s := uint(0)
-	for 1<<s < v {
-		s++
+	if v <= 0 || v&(v-1) != 0 {
+		panic(fmt.Sprintf("cache: geometry value %d is not a power of two", v))
 	}
-	return s
+	return uint(bits.TrailingZeros(uint(v)))
 }
 
 func (d *directMapped) init(size, line int) {
-	d.sets = uint64(size / line)
+	sets := size / line
+	d.mask = 1<<log2(sets) - 1
 	d.shift = log2(line)
-	d.tags = make([]uint64, d.sets)
+	d.tags = make([]uint64, sets)
 }
 
 func (d *directMapped) probe(addr uint64) bool {
 	b := addr >> d.shift
-	idx := b % d.sets
-	return d.tags[idx] == b+1
+	return d.tags[b&d.mask] == b+1
 }
 
 func (d *directMapped) fill(addr uint64) {
 	b := addr >> d.shift
-	d.tags[b%d.sets] = b + 1
+	d.tags[b&d.mask] = b + 1
 }
 
 func (d *directMapped) flush() {
@@ -216,22 +221,23 @@ type setAssoc struct {
 	tags  []uint64 // sets*assoc entries, tag+1, 0 = invalid
 	used  []uint32 // LRU ticks, parallel to tags
 	assoc int
-	sets  uint64
+	mask  uint64 // sets-1
 	shift uint
 	tick  uint32
 }
 
 func (s *setAssoc) init(size, line, assoc int) {
 	s.assoc = assoc
-	s.sets = uint64(size / (line * assoc))
+	sets := size / (line * assoc)
+	s.mask = 1<<log2(sets) - 1
 	s.shift = log2(line)
-	s.tags = make([]uint64, int(s.sets)*assoc)
-	s.used = make([]uint32, int(s.sets)*assoc)
+	s.tags = make([]uint64, sets*assoc)
+	s.used = make([]uint32, sets*assoc)
 }
 
 func (s *setAssoc) probe(addr uint64) bool {
 	b := addr >> s.shift
-	base := int(b%s.sets) * s.assoc
+	base := int(b&s.mask) * s.assoc
 	s.tick++
 	for w := 0; w < s.assoc; w++ {
 		if s.tags[base+w] == b+1 {
@@ -244,7 +250,7 @@ func (s *setAssoc) probe(addr uint64) bool {
 
 func (s *setAssoc) fill(addr uint64) {
 	b := addr >> s.shift
-	base := int(b%s.sets) * s.assoc
+	base := int(b&s.mask) * s.assoc
 	victim, oldest := base, s.used[base]
 	for w := 0; w < s.assoc; w++ {
 		if s.tags[base+w] == 0 {

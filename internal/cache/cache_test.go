@@ -202,3 +202,23 @@ func TestStatsString(t *testing.T) {
 		t.Fatal("empty MissRatio should be 0")
 	}
 }
+
+func TestNonPowerOfTwoGeometryPanics(t *testing.T) {
+	for name, set := range map[string]func(*sim.Params){
+		"line":  func(p *sim.Params) { p.L3Line = 48 },
+		"page":  func(p *sim.Params) { p.PageSize = 6 << 10 },
+		"sets":  func(p *sim.Params) { p.L2Assoc = 4 }, // 96 KB / (64 B * 4) = 384 sets
+		"l1set": func(p *sim.Params) { p.L1Size = 12 << 10 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := sim.Default()
+			set(&p)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("New accepted a geometry that is not a power of two")
+				}
+			}()
+			New(&p, &sim.Clock{})
+		})
+	}
+}

@@ -232,6 +232,94 @@ func TestServerGarbageFrames(t *testing.T) {
 	}
 }
 
+// crashMidTx wraps a Cluster so that, once armed, the next transaction's
+// first Write crashes the primary under it — a crash landing inside a
+// served Put.
+type crashMidTx struct {
+	*repro.Cluster
+	armed atomic.Bool
+}
+
+func (d *crashMidTx) Begin() (repro.Tx, error) {
+	tx, err := d.Cluster.Begin()
+	if err != nil || !d.armed.CompareAndSwap(true, false) {
+		return tx, err
+	}
+	return &crashingTx{Tx: tx, db: d.Cluster}, nil
+}
+
+type crashingTx struct {
+	repro.Tx
+	db      *repro.Cluster
+	crashed bool
+}
+
+func (t *crashingTx) Write(off int, src []byte) error {
+	if !t.crashed {
+		t.crashed = true
+		if err := t.db.CrashPrimary(); err != nil {
+			return err
+		}
+	}
+	return t.Tx.Write(off, src)
+}
+
+// TestServerCrashMidPutRetries: a Put whose primary crashes inside the
+// store's transaction is answered StatusRetry — the crash is retryable,
+// not a terminal error — and the healer fails the deployment over so the
+// client's retry lands.
+func TestServerCrashMidPutRetries(t *testing.T) {
+	c, err := repro.New(repro.Config{
+		Version: repro.V3InlineLog,
+		Backup:  repro.ActiveBackup,
+		DBSize:  1 << 20,
+		Backups: 3,
+		Safety:  repro.QuorumSafe,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := &crashMidTx{Cluster: c}
+	store, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Config{Logf: t.Logf})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	db.armed.Store(true)
+	if _, err := conn.Write(kvwire.AppendPut(nil, []byte("k"), []byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := kvwire.ReadFrame(conn, nil, kvwire.MaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp[0] != kvwire.StatusRetry {
+		t.Fatalf("Put crashed mid-transaction answered status %d (%q), want StatusRetry", resp[0], resp[1:])
+	}
+
+	client := kvclient.Dial(l.Addr().String(), kvclient.Options{Conns: 1})
+	defer client.Close()
+	if err := client.Put([]byte("k"), []byte("v2")); err != nil {
+		t.Fatalf("Put after the heal: %v", err)
+	}
+	if v, err := client.Get([]byte("k")); err != nil || string(v) != "v2" {
+		t.Fatalf("Get after the heal = %q, %v", v, err)
+	}
+}
+
 // TestServerScanAndTxn exercises the remaining opcodes through the real
 // client: a multi-key transaction lands atomically and Scan pages the
 // keyspace back.

@@ -129,23 +129,31 @@ type Region struct {
 	Dirty *DirtyLog
 
 	backing Backing
+	// size caches backing.Size(), and dense is the backing itself when it
+	// is Dense (nil otherwise): every charged access resolves its region
+	// and moves bytes through it, so the common dense case skips the
+	// interface dispatch entirely.
+	size  int
+	dense Dense
 }
 
 // NewRegion returns a region with the given backing.
 func NewRegion(name string, base uint64, b Backing) *Region {
-	return &Region{Name: name, Base: base, backing: b}
+	r := &Region{Name: name, Base: base, backing: b}
+	if b != nil {
+		r.size = b.Size()
+	}
+	if d, ok := b.(Dense); ok {
+		r.dense = d
+	}
+	return r
 }
 
 // Size returns the region size in bytes.
-func (r *Region) Size() int {
-	if r.backing == nil {
-		return 0
-	}
-	return r.backing.Size()
-}
+func (r *Region) Size() int { return r.size }
 
 // End returns the first simulated address past the region.
-func (r *Region) End() uint64 { return r.Base + uint64(r.Size()) }
+func (r *Region) End() uint64 { return r.Base + uint64(r.size) }
 
 // Contains reports whether [addr, addr+n) lies inside the region.
 func (r *Region) Contains(addr uint64, n int) bool {
@@ -154,7 +162,13 @@ func (r *Region) Contains(addr uint64, n int) bool {
 
 // ReadRaw reads bytes without charging simulated time (initialization,
 // oracle checks, recovery-side inspection).
-func (r *Region) ReadRaw(off int, dst []byte) { r.backing.ReadAt(off, dst) }
+func (r *Region) ReadRaw(off int, dst []byte) {
+	if r.dense != nil {
+		copy(dst, r.dense[off:off+len(dst)])
+		return
+	}
+	r.backing.ReadAt(off, dst)
+}
 
 // WriteRaw writes bytes without charging simulated time. Every mutation —
 // charged accessor stores, replication deliveries, recovery rewrites —
@@ -163,6 +177,10 @@ func (r *Region) ReadRaw(off int, dst []byte) { r.backing.ReadAt(off, dst) }
 func (r *Region) WriteRaw(off int, src []byte) {
 	if r.Dirty != nil {
 		r.Dirty.Mark(off, len(src))
+	}
+	if r.dense != nil {
+		copy(r.dense[off:off+len(src)], src)
+		return
 	}
 	r.backing.WriteAt(off, src)
 }
@@ -200,11 +218,22 @@ func (s *Space) Add(r *Region) error {
 	return nil
 }
 
-// Lookup returns the region containing [addr, addr+n), or nil.
+// Lookup returns the region containing [addr, addr+n), or nil. It runs on
+// every charged access, so the binary search is written out inline over
+// the cached region bounds instead of going through sort.Search's
+// closure.
 func (s *Space) Lookup(addr uint64, n int) *Region {
-	i := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].End() > addr })
-	if i < len(s.regions) && s.regions[i].Contains(addr, n) {
-		return s.regions[i]
+	lo, hi := 0, len(s.regions)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.regions[m].End() > addr {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo < len(s.regions) && s.regions[lo].Contains(addr, n) {
+		return s.regions[lo]
 	}
 	return nil
 }

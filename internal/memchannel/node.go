@@ -83,20 +83,27 @@ type Node struct {
 	crashAfter    int64 // fail after this many packets (0 = disabled)
 	emitted       int64
 
-	// catBytes and lost are atomic so aggregate-traffic readers (a
-	// sharded front-end summing NetTraffic across running shards) can
-	// sample them without synchronizing with the emitting stream.
+	// catBytes is atomic so aggregate-traffic readers (a sharded
+	// front-end summing NetTraffic across running shards) can sample it
+	// without synchronizing with the emitting stream.
 	catBytes [mem.NumCategories]atomic.Int64
-	lost     [mem.NumCategories]atomic.Int64
 }
 
-// wbuf is one pending 32-byte coalescing buffer.
+// wbuf is one pending 32-byte coalescing buffer. Byte i is valid when bit
+// i of mask is set, and belongs to category c when bit i of cats[c] is
+// set: the per-category masks partition mask, so a store is a handful of
+// mask operations and a tally one popcount per category.
 type wbuf struct {
 	block    uint64 // aligned base address
 	mask     uint32 // valid bytes
 	openedAt sim.Time
 	data     [blockSize]byte
-	cats     [blockSize]mem.Category
+	cats     [mem.NumCategories]uint32
+}
+
+// rangeMask returns the mask of bytes [off, off+n) within a block.
+func rangeMask(off, n int) uint32 {
+	return (uint32(1)<<uint(n) - 1) << uint(off)
 }
 
 // NewNode returns a node that emits packets onto link and charges stalls to
@@ -242,46 +249,44 @@ func (n *Node) StoreIO(addr uint64, src []byte, cat mem.Category) {
 }
 
 // storeBlock merges one within-block store into the coalescing buffers.
+// The bytes it overwrites change owner: they leave whatever category they
+// were staged under and join cat.
 func (n *Node) storeBlock(block uint64, off int, src []byte, cat mem.Category) {
-	b := n.findBuf(block)
-	if b == nil {
+	i := n.findBuf(block)
+	if i < 0 {
 		if len(n.bufs) >= n.params.WriteBuffers {
 			// Buffer pressure: the oldest (partial) buffer is forcibly
 			// evicted, and the CPU waits for the bus to accept it.
 			n.emit(0, true)
 		}
 		n.bufs = append(n.bufs, wbuf{block: block, openedAt: n.clock.Now()})
-		b = &n.bufs[len(n.bufs)-1]
+		i = len(n.bufs) - 1
 	}
+	b := &n.bufs[i]
 	copy(b.data[off:off+len(src)], src)
-	for i := 0; i < len(src); i++ {
-		b.mask |= 1 << uint(off+i)
-		b.cats[off+i] = cat
+	m := rangeMask(off, len(src))
+	if b.mask&m != 0 {
+		for c := range b.cats {
+			b.cats[c] &^= m
+		}
 	}
+	b.mask |= m
+	b.cats[cat] |= m
 	if b.mask == 1<<blockSize-1 {
 		// A naturally filled buffer retires asynchronously through the
 		// posted-write pipeline.
 		n.emitBuf(b, false)
-		n.removeBuf(block)
+		n.bufs = append(n.bufs[:i], n.bufs[i+1:]...)
 	}
 }
 
-func (n *Node) findBuf(block uint64) *wbuf {
+func (n *Node) findBuf(block uint64) int {
 	for i := range n.bufs {
 		if n.bufs[i].block == block {
-			return &n.bufs[i]
+			return i
 		}
 	}
-	return nil
-}
-
-func (n *Node) removeBuf(block uint64) {
-	for i := range n.bufs {
-		if n.bufs[i].block == block {
-			n.bufs = append(n.bufs[:i], n.bufs[i+1:]...)
-			return
-		}
-	}
+	return -1
 }
 
 // emit flushes the buffer at index i (in FIFO order bookkeeping).
@@ -305,11 +310,6 @@ func (n *Node) emitBuf(b *wbuf, sync bool) {
 		n.crashed = true
 	}
 	if n.crashed {
-		for i := 0; i < blockSize; i++ {
-			if b.mask&(1<<uint(i)) != 0 {
-				n.lost[b.cats[i]].Add(1)
-			}
-		}
 		return
 	}
 	n.emitted++
@@ -347,35 +347,22 @@ func (n *Node) emitBuf(b *wbuf, sync bool) {
 	}
 
 	n.apply(b)
-	// Tally per category locally, then publish with one atomic add each:
-	// per-byte atomic increments would put 32 RMWs on the hot path.
-	var tally [mem.NumCategories]int64
-	for i := 0; i < blockSize; i++ {
-		if b.mask&(1<<uint(i)) != 0 {
-			tally[b.cats[i]]++
-		}
-	}
-	for c, v := range tally {
-		if v != 0 {
-			n.catBytes[c].Add(v)
+	// One atomic add per category present in the packet.
+	for c, m := range b.cats {
+		if m != 0 {
+			n.catBytes[c].Add(int64(bits.OnesCount32(m)))
 		}
 	}
 }
 
-// apply writes the buffer's valid bytes into the remote region(s).
+// apply writes the buffer's valid bytes into the remote region(s), one
+// contiguous run at a time.
 func (n *Node) apply(b *wbuf) {
-	i := 0
-	for i < blockSize {
-		if b.mask&(1<<uint(i)) == 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < blockSize && b.mask&(1<<uint(j)) != 0 {
-			j++
-		}
+	for m := b.mask; m != 0; {
+		i := bits.TrailingZeros32(m)
+		j := i + bits.TrailingZeros32(^(m >> uint(i)))
 		n.applyRange(b.block+uint64(i), b.data[i:j])
-		i = j
+		m &= ^uint32(0) << uint(j)
 	}
 }
 
@@ -438,14 +425,6 @@ func (n *Node) drainStale() {
 // are delivered first; only genuinely in-flight bytes die with the node.
 func (n *Node) Crash() {
 	n.drainStale()
-	for i := range n.bufs {
-		b := &n.bufs[i]
-		for j := 0; j < blockSize; j++ {
-			if b.mask&(1<<uint(j)) != 0 {
-				n.lost[b.cats[j]].Add(1)
-			}
-		}
-	}
 	n.bufs = nil
 	n.crashed = true
 }
@@ -529,7 +508,6 @@ func (n *Node) TotalBytes() int64 {
 func (n *Node) ResetStats() {
 	for i := range n.catBytes {
 		n.catBytes[i].Store(0)
-		n.lost[i].Store(0)
 	}
 }
 

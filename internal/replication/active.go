@@ -58,7 +58,6 @@ type redoChannel struct {
 	// allocator per record; the channel is single-stream under the group
 	// mutex, so shared buffers are safe.
 	hdrBuf   [8]byte
-	entBuf   [6]byte
 	ptrBuf   [8]byte
 	applyBuf []byte
 }
@@ -421,25 +420,44 @@ func (c *redoChannel) applyDelivered(b *backup) {
 	}
 }
 
-// applyRecord replays one record's writes into backup b's database.
+// applyRecord replays one record's writes into backup b's database. The
+// record is copied out of the ring in one read and its entries parsed in
+// place; every entry is checked against the record's size before any of
+// its bytes are written, so a malformed record panics without spilling
+// past its end into the database.
 func (c *redoChannel) applyRecord(b *backup, off, nWrites, size int) {
-	db := b.node.Space.ByName(vista.RegionDB)
-	pos := off + 8
+	if size < 8 || off+size > c.ringSize {
+		overrun(off, size)
+	}
+	if b.db == nil {
+		b.db = b.node.Space.ByName(vista.RegionDB)
+	}
+	if cap(c.applyBuf) < size {
+		c.applyBuf = make([]byte, size)
+	}
+	rec := c.applyBuf[:size]
+	b.bRing.ReadRaw(off, rec)
+	pos := 8
 	for w := 0; w < nWrites; w++ {
-		b.bRing.ReadRaw(pos, c.entBuf[:])
-		dbOff := int(binary.LittleEndian.Uint32(c.entBuf[0:4]))
-		n := int(binary.LittleEndian.Uint16(c.entBuf[4:6]))
-		if cap(c.applyBuf) < n {
-			c.applyBuf = make([]byte, n)
+		if pos+6 > size {
+			overrun(off, size)
 		}
-		buf := c.applyBuf[:n]
-		b.bRing.ReadRaw(pos+6, buf)
-		db.WriteRaw(dbOff, buf)
-		pos += 6 + n
+		dbOff := int(binary.LittleEndian.Uint32(rec[pos:]))
+		n := int(binary.LittleEndian.Uint16(rec[pos+4:]))
+		pos += 6
+		if pos+n > size {
+			overrun(off, size)
+		}
+		b.db.WriteRaw(dbOff, rec[pos:pos+n])
+		pos += n
 	}
-	if pos-off > size {
-		panic(fmt.Sprintf("replication: redo record at %d overruns its size %d", off, size))
-	}
+}
+
+// overrun reports a corrupt redo record: the modelled backup CPU would
+// run off the end of the record, so this is a broken invariant, not an
+// error to recover from.
+func overrun(off, size int) {
+	panic(fmt.Sprintf("replication: redo record at %d overruns its size %d", off, size))
 }
 
 // takeover finishes consumption on the promoted backup and opens a fresh

@@ -1,7 +1,7 @@
 package replication
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/vista"
@@ -385,7 +385,7 @@ func (g *Group) flushPassiveLocked() error {
 // transaction is locally committed but its durability promise cannot be
 // given, and the caller must not treat it as acknowledged.
 func ackDeadline(acks []sim.Time, s Safety, degree int) (sim.Time, error) {
-	sort.Slice(acks, func(i, j int) bool { return acks[i] < acks[j] })
+	slices.Sort(acks)
 	switch s {
 	case TwoSafe:
 		if len(acks) == 0 {

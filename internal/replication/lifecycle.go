@@ -94,9 +94,11 @@ type backup struct {
 	gateGen       int
 	cleanGate     bool
 
-	// Active-mode consumer state.
+	// Active-mode consumer state. db is the replica's database region,
+	// resolved on first apply (a node's address space never changes).
 	ring         *sim.Ring
 	bRing, bCtl  *mem.Region
+	db           *mem.Region
 	appliedTotal uint64 // bytes of the redo stream applied (monotonic)
 	appliedTxns  uint64
 

@@ -171,9 +171,10 @@ var _ TxHandle = (*vista.Tx)(nil)
 
 // Group state errors.
 var (
-	// ErrCrashed is aliased as the facade's public crashed sentinel, so
-	// its message speaks the facade's language.
-	ErrCrashed             = errors.New("repro: primary crashed; call Failover")
+	// ErrCrashed is the engine's crash marker, shared so that an error a
+	// transaction handle passes up from its dead store already is the
+	// group's (and the facade's) crashed sentinel.
+	ErrCrashed             = vista.ErrCrashed
 	ErrNotCrashed          = errors.New("replication: primary still alive")
 	ErrNoBackup            = errors.New("replication: no surviving backup")
 	ErrActiveNeedV3        = errors.New("replication: active backup requires the Version 3 local scheme")

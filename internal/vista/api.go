@@ -71,8 +71,11 @@ var (
 	ErrOutOfRange = errors.New("vista: write outside any declared set_range")
 	// ErrBounds is returned for accesses outside the database.
 	ErrBounds = errors.New("vista: access outside database bounds")
-	// ErrCrashed is returned once the store's node has crashed.
-	ErrCrashed = errors.New("vista: store has crashed")
+	// ErrCrashed is returned once the store's node has crashed. Every
+	// store serves a primary, and the replication group and the facade
+	// export this same value as their crashed sentinel, so its message
+	// speaks the facade's language.
+	ErrCrashed = errors.New("repro: primary crashed; call Failover")
 )
 
 // Config sizes a Store.

@@ -60,11 +60,11 @@ package kv
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro"
@@ -175,11 +175,19 @@ type Store struct {
 	tombs  int      // tombstoned buckets
 	broken bool
 
-	// scratch buffers recycled across operations.
+	// scratch buffers recycled across operations. word also stages the
+	// bucket word a commit flips: a stack array would escape through the
+	// Tx interface and cost an allocation per flip.
 	word [bucketWidth]byte
 	hdr  [slotHeader]byte
 	kbuf []byte
 	vbuf []byte
+	// one is the planned write of a single-key Put or Delete, and flips
+	// a commit's recycled bucket order, so the single-key paths never
+	// touch the allocator. Both are cleared when the call ends, so they
+	// keep no caller buffers reachable between calls.
+	one   write
+	flips []*write
 
 	// readPrimary is db.Read bound once, so the hot paths stay
 	// allocation-free; vw/vwRead are the recycled replica read view for
@@ -436,11 +444,19 @@ func (s *Store) runTx(body func(tx repro.Tx) error) error {
 	if err != nil {
 		return s.observe(err)
 	}
-	if err := body(tx); err != nil {
+	return s.endTx(tx, body(tx))
+}
+
+// endTx finishes a transaction whose body returned bodyErr: it aborts on
+// a body error and commits otherwise. Both errors of a failed abort stay
+// visible to errors.Is, so a crash reported by either one breaks the
+// store.
+func (s *Store) endTx(tx repro.Tx, bodyErr error) error {
+	if bodyErr != nil {
 		if abortErr := tx.Abort(); abortErr != nil {
-			return s.observe(fmt.Errorf("%w (abort also failed: %v)", err, abortErr))
+			return s.observe(fmt.Errorf("%w (abort also failed: %w)", bodyErr, abortErr))
 		}
-		return s.observe(err)
+		return s.observe(bodyErr)
 	}
 	if err := tx.Commit(); err != nil {
 		return s.fail(err)
@@ -607,19 +623,21 @@ func (s *Store) Put(key, value []byte) error {
 	if !p.found && p.full {
 		return ErrFull
 	}
-	w := write{key: key, val: value}
-	if err := s.alloc(&w); err != nil {
+	w := &s.one
+	*w = write{key: key, val: value, bucket: p.bucket}
+	defer s.dropOne()
+	if err := s.alloc(w); err != nil {
 		return err
 	}
-	if err := s.commitWrites([]*write{&w}, map[uint64]*write{p.bucket: &w}); err != nil {
+	if err := s.commitWrites(w); err != nil {
 		if !errors.Is(err, repro.ErrSafetyUnavailable) {
-			s.unalloc([]*write{&w})
+			s.unalloc(w)
 			return err
 		}
-		s.applyWrite(&w, p)
+		s.applyWrite(w, p)
 		return err
 	}
-	s.applyWrite(&w, p)
+	s.applyWrite(w, p)
 	return nil
 }
 
@@ -638,17 +656,23 @@ func (s *Store) Delete(key []byte) error {
 	if !p.found {
 		return ErrNotFound
 	}
-	w := write{key: key, del: true}
-	if err := s.commitWrites([]*write{&w}, map[uint64]*write{p.bucket: &w}); err != nil {
+	w := &s.one
+	*w = write{key: key, del: true, bucket: p.bucket}
+	defer s.dropOne()
+	if err := s.commitWrites(w); err != nil {
 		if !errors.Is(err, repro.ErrSafetyUnavailable) {
 			return err
 		}
-		s.applyWrite(&w, p)
+		s.applyWrite(w, p)
 		return err
 	}
-	s.applyWrite(&w, p)
+	s.applyWrite(w, p)
 	return nil
 }
+
+// dropOne forgets the single-key scratch write once Put or Delete is
+// done with it, releasing the caller's key and value.
+func (s *Store) dropOne() { s.one = write{} }
 
 // check validates the key and the store's health.
 func (s *Store) check(key []byte) error {
@@ -662,11 +686,12 @@ func (s *Store) check(key []byte) error {
 }
 
 // write is one planned mutation: a record landing in slot (puts) and a
-// bucket flip.
+// flip of bucket.
 type write struct {
 	key, val []byte
 	del      bool
 	slot     uint32 // allocated slot (puts)
+	bucket   uint64
 }
 
 // alloc reserves a free slot for a put.
@@ -680,7 +705,7 @@ func (s *Store) alloc(w *write) error {
 }
 
 // unalloc returns planned puts' slots to the pool after a failed commit.
-func (s *Store) unalloc(writes []*write) {
+func (s *Store) unalloc(writes ...*write) {
 	for i := len(writes) - 1; i >= 0; i-- {
 		if !writes[i].del {
 			s.free = append(s.free, writes[i].slot)
@@ -693,74 +718,86 @@ func (s *Store) unalloc(writes []*write) {
 // On a single-shard deployment both phases share one atomic transaction;
 // on a sharded deployment they are two transactions in record-then-flip
 // order, so a crash between them leaks at most slots (reclaimed by the
-// next Open) and never tears a reachable record. flips maps bucket index
-// → the write that owns it.
-func (s *Store) commitWrites(writes []*write, flips map[uint64]*write) error {
-	records := func(tx repro.Tx) error {
-		for _, w := range writes {
-			if w.del {
-				continue
-			}
-			off := s.geo.slotOff(uint64(w.slot))
-			n := slotHeader + len(w.key) + len(w.val)
-			if err := tx.SetRange(off, n); err != nil {
-				return err
-			}
-			s.vbuf = grow(s.vbuf, n)
-			binary.LittleEndian.PutUint32(s.vbuf[:4], uint32(len(w.key)))
-			binary.LittleEndian.PutUint32(s.vbuf[4:8], uint32(len(w.val)))
-			copy(s.vbuf[slotHeader:], w.key)
-			copy(s.vbuf[slotHeader+len(w.key):], w.val)
-			if err := tx.Write(off, s.vbuf); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Flip in ascending bucket order: map iteration order is randomized
-	// and the charged write sequence must stay deterministic.
-	buckets := make([]uint64, 0, len(flips))
-	for b := range flips {
-		buckets = append(buckets, b)
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i] < buckets[j] })
-	flipsBody := func(tx repro.Tx) error {
-		for _, b := range buckets {
-			w := flips[b]
-			word := uint64(bucketTomb)
-			if !w.del {
-				word = uint64(w.slot) + bucketBase
-			}
-			off := s.geo.bucketOff(b)
-			if err := tx.SetRange(off, bucketWidth); err != nil {
-				return err
-			}
-			var buf [bucketWidth]byte
-			binary.LittleEndian.PutUint64(buf[:], word)
-			if err := tx.Write(off, buf[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// next Open) and never tears a reachable record. writes are in planning
+// order; when several planned writes land on one bucket, the last one
+// owns the flip.
+func (s *Store) commitWrites(writes ...*write) error {
+	// Flip in ascending bucket order, so the charged write sequence is a
+	// function of the planned set alone. The stable sort keeps planning
+	// order within a bucket, which writeFlips relies on.
+	s.flips = append(s.flips[:0], writes...)
+	slices.SortStableFunc(s.flips, func(a, b *write) int { return cmp.Compare(a.bucket, b.bucket) })
+	// Drop the batch's writes once committed, so the scratch does not
+	// keep the caller's keys and values reachable.
+	defer clear(s.flips)
 
 	if s.singleTx() {
-		return s.runTx(func(tx repro.Tx) error {
-			if err := records(tx); err != nil {
-				return err
-			}
-			return flipsBody(tx)
-		})
+		tx, err := s.db.Begin()
+		if err != nil {
+			return s.observe(err)
+		}
+		err = s.writeRecords(tx, writes)
+		if err == nil {
+			err = s.writeFlips(tx)
+		}
+		return s.endTx(tx, err)
 	}
-	err := s.runTx(records)
+	err := s.runTx(func(tx repro.Tx) error { return s.writeRecords(tx, writes) })
 	if err != nil && !errors.Is(err, repro.ErrSafetyUnavailable) {
 		return err
 	}
 	degraded := err
-	if err := s.runTx(flipsBody); err != nil {
+	if err := s.runTx(s.writeFlips); err != nil {
 		return err
 	}
 	return degraded
+}
+
+// writeRecords is commit phase one: every planned put's record lands in
+// its slot.
+func (s *Store) writeRecords(tx repro.Tx, writes []*write) error {
+	for _, w := range writes {
+		if w.del {
+			continue
+		}
+		off := s.geo.slotOff(uint64(w.slot))
+		n := slotHeader + len(w.key) + len(w.val)
+		if err := tx.SetRange(off, n); err != nil {
+			return err
+		}
+		s.vbuf = grow(s.vbuf, n)
+		binary.LittleEndian.PutUint32(s.vbuf[:4], uint32(len(w.key)))
+		binary.LittleEndian.PutUint32(s.vbuf[4:8], uint32(len(w.val)))
+		copy(s.vbuf[slotHeader:], w.key)
+		copy(s.vbuf[slotHeader+len(w.key):], w.val)
+		if err := tx.Write(off, s.vbuf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeFlips is commit phase two: one bucket word per planned bucket, in
+// the ascending order commitWrites staged in s.flips.
+func (s *Store) writeFlips(tx repro.Tx) error {
+	for i, w := range s.flips {
+		if i+1 < len(s.flips) && s.flips[i+1].bucket == w.bucket {
+			continue // a later planned write owns this bucket
+		}
+		word := uint64(bucketTomb)
+		if !w.del {
+			word = uint64(w.slot) + bucketBase
+		}
+		off := s.geo.bucketOff(w.bucket)
+		if err := tx.SetRange(off, bucketWidth); err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint64(s.word[:], word)
+		if err := tx.Write(off, s.word[:]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // singleTx reports whether the commit protocol may collapse record

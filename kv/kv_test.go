@@ -428,6 +428,73 @@ func TestBrokenAfterObservedCrash(t *testing.T) {
 	}
 }
 
+// crashMidTx wraps a Cluster so that, once armed, the next transaction's
+// first Write crashes the primary under it: the crash lands inside a
+// Put, between Begin and Commit.
+type crashMidTx struct {
+	*repro.Cluster
+	armed bool
+}
+
+func (d *crashMidTx) Begin() (repro.Tx, error) {
+	tx, err := d.Cluster.Begin()
+	if err != nil || !d.armed {
+		return tx, err
+	}
+	d.armed = false
+	return &crashingTx{Tx: tx, db: d.Cluster}, nil
+}
+
+type crashingTx struct {
+	repro.Tx
+	db      *repro.Cluster
+	crashed bool
+}
+
+func (t *crashingTx) Write(off int, src []byte) error {
+	if !t.crashed {
+		t.crashed = true
+		if err := t.db.CrashPrimary(); err != nil {
+			return err
+		}
+	}
+	return t.Tx.Write(off, src)
+}
+
+// TestCrashMidPut: a Put whose primary crashes mid-transaction reports
+// repro.ErrCrashed, and the Store marks itself broken, so the next
+// operation gets ErrBroken instead of allocating from an index the
+// survivor may not match.
+func TestCrashMidPut(t *testing.T) {
+	db := &crashMidTx{Cluster: newCluster(t, repro.Config{Backups: 3, Safety: repro.QuorumSafe}).(*repro.Cluster)}
+	s, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	db.armed = true
+	if err := s.Put([]byte("k2"), []byte("v2")); !errors.Is(err, repro.ErrCrashed) {
+		t.Fatalf("Put crashed mid-transaction = %v, want ErrCrashed", err)
+	}
+	if _, err := s.Get([]byte("k")); !errors.Is(err, kv.ErrBroken) {
+		t.Fatalf("Get after a crashed Put = %v, want ErrBroken", err)
+	}
+	if err := db.Failover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Get([]byte("k")); err != nil || string(v) != "v" {
+		t.Fatalf("Get after Reopen = %q, %v", v, err)
+	}
+	if _, err := s.Get([]byte("k2")); !errors.Is(err, kv.ErrNotFound) {
+		t.Fatalf("crashed Put visible after failover: %v", err)
+	}
+}
+
 // TestCrashFailoverRecovery is the deterministic core of the committed-
 // prefix guarantee at key level: acked puts at quorum survive a primary
 // crash, failover, and re-Open.

@@ -132,9 +132,8 @@ func (t *Txn) Commit() error {
 	overlay := make(map[uint64]uint64, len(t.order))
 	writes := make([]*write, 0, len(t.order))
 	probes := make([]probeResult, 0, len(t.order))
-	flips := make(map[uint64]*write, len(t.order))
 	fail := func(err error) error {
-		s.unalloc(writes)
+		s.unalloc(writes...)
 		return err
 	}
 	for _, k := range t.order {
@@ -148,30 +147,28 @@ func (t *Txn) Commit() error {
 			if !p.found {
 				continue // deleting an absent key: no-op
 			}
-			w := &write{key: key, del: true}
+			w := &write{key: key, del: true, bucket: p.bucket}
 			writes = append(writes, w)
 			probes = append(probes, p)
-			flips[p.bucket] = w
 			overlay[p.bucket] = bucketTomb
 			continue
 		}
 		if !p.found && p.full {
 			return fail(ErrFull)
 		}
-		w := &write{key: key, val: op.val}
+		w := &write{key: key, val: op.val, bucket: p.bucket}
 		if err := s.alloc(w); err != nil {
 			return fail(err)
 		}
 		writes = append(writes, w)
 		probes = append(probes, p)
-		flips[p.bucket] = w
 		overlay[p.bucket] = uint64(w.slot) + bucketBase
 	}
 	if len(writes) == 0 {
 		return nil
 	}
 
-	err := s.commitWrites(writes, flips)
+	err := s.commitWrites(writes...)
 	if err != nil && !errors.Is(err, repro.ErrSafetyUnavailable) {
 		return fail(err)
 	}
