@@ -1,7 +1,9 @@
 # Repro build/check entry points.
 #
 #   make check   - everything CI runs: gofmt, vet, build, race tests (-short),
-#                  then the zero-allocation guards without the race detector
+#                  the zero-allocation guards without the race detector, and
+#                  the self-checking examples
+#   make examples - run every examples/* program (each exits non-zero on lost data)
 #   make test    - full test suite without the race detector
 #   make bench   - throughput benchmarks -> BENCH_parallel.json (perf trajectory)
 #   make bench-smoke - 1x-iteration bench emit + BENCH_*.json schema validation (CI)
@@ -10,9 +12,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet build test test-race test-alloc bench bench-smoke bench-all tables
+.PHONY: check fmt-check vet build test test-race test-alloc examples bench bench-smoke bench-all tables
 
-check: fmt-check vet build test-race test-alloc
+check: fmt-check vet build test-race test-alloc examples
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -37,6 +39,14 @@ test-race:
 # instrumentation allocates, so they get a non-race run of their own.
 test-alloc:
 	$(GO) test -count=1 -run ZeroAllocs .
+
+# Every example is a self-checking demo of the public API: it exits
+# non-zero on lost data, so running them all checks the API end to end.
+# A passing example's output is dropped; a failing one's is printed.
+EXAMPLES := banking chaos failover inventory kv quickstart sharded
+
+examples:
+	@for e in $(EXAMPLES); do 		echo "examples/$$e"; 		out=$$($(GO) run ./examples/$$e 2>&1) || { echo "$$out"; exit 1; }; 	done
 
 # The perf-trajectory benchmarks: wall-clock parallel shards, per-config
 # throughput, replication degree and sharded sim throughput. Results land

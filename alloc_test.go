@@ -25,9 +25,11 @@ var quorumK3 = repro.Config{
 // scratch together mean a warmed transaction touches the allocator not at
 // all. Any regression here is a performance bug on the hottest path in the
 // repository. It holds for the single-backup pair and for the K=3 quorum
-// group, whose commit also sorts the acknowledgement times. The
-// instrumented variants attach the obs registry (Config.Metrics) and must
-// hold the same zero: instruments are plain atomics recording into
+// group, whose commit also sorts the acknowledgement times, and across
+// four groups, where a transaction spans several of them (the pooled
+// transaction's per-group open table, closure-free routing). The
+// instrumented variants attach the obs registries (Config.Metrics) and
+// must hold the same zero: instruments are plain atomics recording into
 // preallocated buckets, so observability costs cycles, never allocations.
 func TestCommitPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -41,7 +43,8 @@ func TestCommitPathZeroAllocs(t *testing.T) {
 	for _, base := range []struct {
 		prefix string
 		cfg    repro.Config
-	}{{"", pair}, {"quorum-k3-", quorumK3}} {
+		shards int
+	}{{"", pair, 1}, {"quorum-k3-", quorumK3, 1}, {"sharded4-", pair, 4}} {
 		for _, metrics := range []bool{false, true} {
 			name := base.prefix + "bare"
 			if metrics {
@@ -50,7 +53,13 @@ func TestCommitPathZeroAllocs(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cfg := base.cfg
 				cfg.Metrics = metrics
-				c, err := repro.New(cfg)
+				var c *repro.Cluster
+				var err error
+				if base.shards == 1 {
+					c, err = repro.New(cfg)
+				} else {
+					c, err = repro.NewSharded(cfg, base.shards)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -144,7 +153,7 @@ func TestKVPathZeroAllocs(t *testing.T) {
 }
 
 // TestShardedCommitPathZeroAllocs pins the sharded front-end's
-// single-shard transaction path (pooled shardedTx, closure-free routing)
+// single-shard transaction path (pooled transaction, closure-free routing)
 // to zero allocations per transaction — with and without per-shard obs
 // registries attached.
 func TestShardedCommitPathZeroAllocs(t *testing.T) {

@@ -197,12 +197,12 @@ func TestShardedAutopilot(t *testing.T) {
 			t.Fatalf("shard 0 commit: %v", err)
 		}
 		sc.Settle()
-		if !sc.RepairProgress(0).Active && sc.Shard(0).Backups() == 2 {
+		if !sc.RepairProgress(0).Active && sc.Backups(0) == 2 {
 			break
 		}
 	}
-	if sc.Shard(0).Generation() != 1 {
-		t.Fatalf("shard 0 generation %d, want 1", sc.Shard(0).Generation())
+	if sc.Generation(0) != 1 {
+		t.Fatalf("shard 0 generation %d, want 1", sc.Generation(0))
 	}
 	evs := sc.AutopilotEvents()
 	if len(evs) == 0 || evs[0].Shard != 0 || evs[0].Kind != "primary" {

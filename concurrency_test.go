@@ -145,7 +145,7 @@ func TestConcurrentShardDriving(t *testing.T) {
 			t.Fatalf("post-run shard %d readback mismatch", i)
 		}
 	}
-	if got := sc.Shard(chaosShard).Backups(); got != 1 {
+	if got := sc.Backups(chaosShard); got != 1 {
 		t.Fatalf("chaos shard has %d backups after repair, want 1", got)
 	}
 }

@@ -1,9 +1,10 @@
 // Conformance suite for the DB contract: one table-driven set of
 // behavioral assertions — begin/commit/read-back, settle semantics, the
-// error taxonomy of errors.go, the harmonized Admin fault surface — run
-// identically against a Cluster, a 1-shard ShardedCluster and a 4-shard
-// ShardedCluster. Anything that passes here is interchangeable behind the
-// repro.DB + repro.Admin interfaces.
+// error taxonomy of errors.go, the Admin fault surface — run identically
+// against every shape a deployment takes: one group (New), four groups
+// (NewSharded), and placements the range mover built by growing one group
+// to two and two groups to four. Anything that passes here holds for any
+// placement behind the repro.DB + repro.Admin interfaces.
 package repro_test
 
 import (
@@ -21,12 +22,27 @@ import (
 type fullDB interface {
 	repro.DB
 	repro.Admin
+	ShardFor(off int) int
 }
 
-// conformanceTargets builds the facade matrix for one configuration.
+// shard0Off returns the first page shard 0 owns — offset 0 unless a
+// rebalance moved that range to another group — so the no-argument Admin
+// calls (shard 0) and the touched bytes agree on every shape.
+func shard0Off(t *testing.T, db fullDB) int {
+	t.Helper()
+	for off := 0; off < db.DBSize(); off += 4096 {
+		if db.ShardFor(off) == 0 {
+			return off
+		}
+	}
+	t.Fatal("shard 0 owns no page")
+	return 0
+}
+
+// conformanceTargets builds the deployment matrix for one configuration.
 func conformanceTargets(t *testing.T, cfg repro.Config) map[string]fullDB {
 	t.Helper()
-	mk := func(shards int) fullDB {
+	mk := func(shards int) *repro.Cluster {
 		if shards == 0 {
 			c, err := repro.New(cfg)
 			if err != nil {
@@ -40,27 +56,24 @@ func conformanceTargets(t *testing.T, cfg repro.Config) map[string]fullDB {
 		}
 		return sc
 	}
-	// rebalanced4 reaches the 4-shard shape through the elastic path — a
-	// 2-shard deployment grown online (AddShards + Rebalance) — so every
-	// contract assertion also holds on a placement the range mover built.
-	mkReb := func() fullDB {
-		sc, err := repro.NewSharded(cfg, 2)
-		if err != nil {
+	// grown2 and rebalanced4 reach their shapes through the elastic path
+	// — a deployment grown online (AddShards + Rebalance) — so every
+	// contract assertion also holds on a placement the range mover built,
+	// starting from a single group.
+	grow := func(c *repro.Cluster, n int) fullDB {
+		if _, err := c.AddShards(n); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sc.AddShards(2); err != nil {
+		if err := c.Rebalance(); err != nil {
 			t.Fatal(err)
 		}
-		if err := sc.Rebalance(); err != nil {
-			t.Fatal(err)
-		}
-		return sc
+		return c
 	}
 	return map[string]fullDB{
 		"cluster":     mk(0),
-		"sharded1":    mk(1),
+		"grown2":      grow(mk(0), 1),
 		"sharded4":    mk(4),
-		"rebalanced4": mkReb(),
+		"rebalanced4": grow(mk(2), 2),
 	}
 }
 
@@ -88,7 +101,7 @@ func TestDBConformanceReadBack(t *testing.T) {
 				t.Fatalf("Capacity %d below DBSize %d", db.Capacity(), size)
 			}
 			// A spanning write: one record every 8 KB plus one straddling
-			// the middle (a shard boundary on the sharded facades).
+			// the middle (a shard boundary on the multi-group shapes).
 			pattern := func(i int) []byte { return []byte(fmt.Sprintf("record-%04d!", i)) }
 			offs := []int{0}
 			for off := 8 << 10; off+16 < size; off += 8 << 10 {
@@ -148,7 +161,7 @@ func TestDBConformanceReadBack(t *testing.T) {
 }
 
 // TestDBConformanceSettleAndFailover: commit, settle, crash, fail over —
-// everything committed before Settle is on the survivor, on every facade,
+// everything committed before Settle is on the survivor, on every shape,
 // through the no-argument Admin surface (shard 0).
 func TestDBConformanceSettleAndFailover(t *testing.T) {
 	for name, db := range conformanceTargets(t, replicatedCfg()) {
@@ -192,7 +205,7 @@ func TestDBConformanceSettleAndFailover(t *testing.T) {
 	}
 }
 
-// TestDBConformanceErrorTaxonomy: the errors.go table, facade by facade.
+// TestDBConformanceErrorTaxonomy: the errors.go table, shape by shape.
 func TestDBConformanceErrorTaxonomy(t *testing.T) {
 	for name, db := range conformanceTargets(t, replicatedCfg()) {
 		t.Run(name, func(t *testing.T) {
@@ -276,38 +289,37 @@ func TestDBConformanceErrorTaxonomy(t *testing.T) {
 			}
 
 			// Crash: the transaction path and reads refuse with
-			// ErrCrashed until failover. A Cluster refuses at Begin; a
-			// ShardedCluster's lazy per-shard Begin defers the same
-			// sentinel to the first touch of the dead shard (the DB
-			// contract admits both).
+			// ErrCrashed until failover. Begin admits groups lazily, so
+			// the sentinel surfaces at the first touch of the dead shard.
+			z := shard0Off(t, db)
 			if err := db.CrashPrimary(); err != nil {
 				t.Fatal(err)
 			}
-			if ctx, err := db.Begin(); err == nil {
-				if err := ctx.SetRange(0, 8); !errors.Is(err, repro.ErrCrashed) {
-					t.Fatalf("first touch on crashed shard = %v", err)
-				}
-				_ = ctx.Abort()
-			} else if !errors.Is(err, repro.ErrCrashed) {
-				t.Fatalf("Begin on crashed = %v", err)
+			ctx, err := db.Begin()
+			if err != nil {
+				t.Fatalf("Begin on crashed = %v, want lazy admission", err)
 			}
-			if err := db.Read(0, buf); !errors.Is(err, repro.ErrCrashed) {
+			if err := ctx.SetRange(z, 8); !errors.Is(err, repro.ErrCrashed) {
+				t.Fatalf("first touch on crashed shard = %v", err)
+			}
+			_ = ctx.Abort()
+			if err := db.Read(z, buf); !errors.Is(err, repro.ErrCrashed) {
 				t.Fatalf("Read on crashed = %v", err)
 			}
 			if err := db.Failover(); err != nil {
 				t.Fatal(err)
 			}
 			// Quorum still refuses service on the degraded group — the
-			// admission-side face of the same sentinel (deferred to the
-			// first shard touch on the lazy sharded Begin).
-			if dtx, err := db.Begin(); err == nil {
-				if err := dtx.SetRange(0, 8); !errors.Is(err, repro.ErrSafetyUnavailable) {
-					t.Fatalf("first touch on degraded quorum group = %v", err)
-				}
-				_ = dtx.Abort()
-			} else if !errors.Is(err, repro.ErrSafetyUnavailable) {
-				t.Fatalf("Begin on degraded quorum group = %v", err)
+			// admission-side face of the same sentinel, again at the
+			// first touch.
+			dtx, err := db.Begin()
+			if err != nil {
+				t.Fatalf("Begin on degraded quorum group = %v, want lazy admission", err)
 			}
+			if err := dtx.SetRange(z, 8); !errors.Is(err, repro.ErrSafetyUnavailable) {
+				t.Fatalf("first touch on degraded quorum group = %v", err)
+			}
+			_ = dtx.Abort()
 			if err := db.Repair(); err != nil {
 				t.Fatal(err)
 			}
@@ -330,25 +342,26 @@ func TestDBConformanceCrashedTx(t *testing.T) {
 	for name, db := range conformanceTargets(t, replicatedCfg()) {
 		t.Run(name, func(t *testing.T) {
 			buf := make([]byte, 8)
+			z := shard0Off(t, db)
 			tx, err := db.Begin()
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Touch shard 0 first, so a sharded handle holds an open
-			// per-shard transaction when the crash lands.
-			if err := tx.SetRange(0, 8); err != nil {
+			// Touch shard 0 first, so the handle holds an open per-group
+			// transaction when the crash lands.
+			if err := tx.SetRange(z, 8); err != nil {
 				t.Fatal(err)
 			}
 			if err := db.CrashPrimary(); err != nil {
 				t.Fatal(err)
 			}
-			if err := tx.Write(0, buf); !errors.Is(err, repro.ErrCrashed) {
+			if err := tx.Write(z, buf); !errors.Is(err, repro.ErrCrashed) {
 				t.Fatalf("Write on crashed tx = %v, want ErrCrashed", err)
 			}
-			if err := tx.SetRange(0, 8); !errors.Is(err, repro.ErrCrashed) {
+			if err := tx.SetRange(z, 8); !errors.Is(err, repro.ErrCrashed) {
 				t.Fatalf("SetRange on crashed tx = %v, want ErrCrashed", err)
 			}
-			if err := tx.Read(0, buf); !errors.Is(err, repro.ErrCrashed) {
+			if err := tx.Read(z, buf); !errors.Is(err, repro.ErrCrashed) {
 				t.Fatalf("Read on crashed tx = %v, want ErrCrashed", err)
 			}
 			if err := tx.Abort(); !errors.Is(err, repro.ErrCrashed) {
@@ -358,9 +371,8 @@ func TestDBConformanceCrashedTx(t *testing.T) {
 	}
 }
 
-// TestDBConformanceReadRawBounds: an out-of-range ReadRaw panics with the
-// same contract on both facades (it used to silently no-op on the sharded
-// one).
+// TestDBConformanceReadRawBounds: an out-of-range ReadRaw panics, whatever
+// the group count.
 func TestDBConformanceReadRawBounds(t *testing.T) {
 	for name, db := range conformanceTargets(t, replicatedCfg()) {
 		t.Run(name, func(t *testing.T) {
@@ -383,7 +395,7 @@ func TestDBConformanceReadRawBounds(t *testing.T) {
 }
 
 // TestDBConformanceNoBackup: Failover without a survivor returns
-// ErrNoBackup on every facade.
+// ErrNoBackup on every shape.
 func TestDBConformanceNoBackup(t *testing.T) {
 	cfg := repro.Config{Version: repro.V3InlineLog, Backup: repro.Standalone, DBSize: 64 << 10}
 	for name, db := range conformanceTargets(t, cfg) {
@@ -402,7 +414,7 @@ func TestDBConformanceNoBackup(t *testing.T) {
 // across randomized workloads and crash points, every acknowledged Put is
 // readable after crash → failover → kv.Open on the survivor (quorum
 // commit), and every acknowledged Delete stays deleted. Runs the same
-// property over a Cluster and a 4-shard ShardedCluster.
+// property over one group and four.
 func TestKVRecoveryRandomized(t *testing.T) {
 	iters := 12
 	if testing.Short() {
@@ -513,7 +525,7 @@ func TestKVRecoveryRandomized(t *testing.T) {
 	}
 }
 
-// writeAt commits one record through the DB facade and returns it.
+// writeAt commits one record through the DB and returns it.
 func writeAt(t *testing.T, db repro.DB, off int, fill byte) []byte {
 	t.Helper()
 	payload := bytes.Repeat([]byte{fill}, 12)
@@ -534,7 +546,7 @@ func writeAt(t *testing.T, db repro.DB, off int, fill byte) []byte {
 }
 
 // TestDBConformanceReadOpts: the ReadAt consistency surface behaves
-// identically on a Cluster and on both ShardedCluster arities — the zero
+// identically on every shape — the zero
 // ReadOpts is exactly Read, every mode returns committed bytes under its
 // advertised floor, and a pinned unavailable replica surfaces
 // ErrReplicaUnavailable instead of silently falling back.
@@ -598,13 +610,13 @@ func TestDBConformanceReadOpts(t *testing.T) {
 
 // TestDBConformanceMidJoinNeverServes: a replica being rebuilt by the
 // online repair holds a fuzzy copy — a pinned ReadAt must refuse it for
-// the whole transfer, on every facade.
+// the whole transfer, on every shape.
 func TestDBConformanceMidJoinNeverServes(t *testing.T) {
 	cfg := replicatedCfg()
 	cfg.Safety = repro.OneSafe // commits must keep flowing while degraded
 	for name, db := range conformanceTargets(t, cfg) {
 		t.Run(name, func(t *testing.T) {
-			const off = 64
+			off := shard0Off(t, db) + 64 // on shard 0, whose backup dies
 			writeAt(t, db, off, 0x11)
 			if err := db.Flush(); err != nil {
 				t.Fatal(err)

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"repro/internal/replication"
 )
@@ -20,10 +19,11 @@ import (
 // commit (one fdatasync per batch flush, not per transaction) and never
 // charge the simulated clock, so the paper's tables are unaffected.
 type DurabilityConfig struct {
-	// Dir is the deployment's durability directory. Each replica writes
-	// under its own Dir/node-NNN slot directory; a sharded deployment
-	// gives shard i the subdirectory Dir/shard-NNN. Empty disables the
-	// tier.
+	// Dir is the deployment's durability directory. Replica group i
+	// persists under Dir/shard-NNN, and each of its replicas under its own
+	// node-NNN slot directory there. Empty disables the tier. A Dir in
+	// the older single-group layout (node-NNN directly under it) is
+	// refused at construction.
 	Dir string
 	// SnapshotEvery is the number of commits between checkpoints
 	// (snapshot write + WAL rotation + pruning). Default 1024. Smaller
@@ -120,7 +120,39 @@ func durabilityStatus(st replication.DurabilityStatus) DurabilityStatus {
 	}
 }
 
-func walTails(tails []replication.WALTail) []WALTail {
+// Durability returns the disk tier's status for the selected shard
+// (default shard 0); the zero value with the tier off or for an
+// out-of-range selector.
+func (c *Cluster) Durability(shard ...int) DurabilityStatus {
+	g, err := c.shard(shard)
+	if err != nil {
+		return DurabilityStatus{}
+	}
+	return durabilityStatus(g.Durability())
+}
+
+// PowerFail kills every machine of the selected shard (default shard 0)
+// at this instant: unlike CrashPrimary, the backups die too, and nothing
+// past each replica's last fdatasync is guaranteed on disk. The group is
+// unusable afterwards; a whole-deployment power loss is a PowerFail of
+// every shard, and a fresh New/NewSharded over the same Durability.Dir
+// performs the cold restart, each group from its own subdirectory.
+// Returns ErrNoDurability without the disk tier and ErrCrashed when the
+// power is already off.
+func (c *Cluster) PowerFail(shard ...int) error {
+	return c.onShard(shard, (*replication.Pair).PowerFail)
+}
+
+// WALTails returns, after a PowerFail, each replica's live WAL segment
+// of the selected shard and its synced offset — the handles a crash
+// harness uses to tear the unsynced tail. Nil before a PowerFail or
+// without the disk tier.
+func (c *Cluster) WALTails(shard ...int) []WALTail {
+	g, err := c.shard(shard)
+	if err != nil {
+		return nil
+	}
+	tails := g.WALTails()
 	if tails == nil {
 		return nil
 	}
@@ -131,87 +163,13 @@ func walTails(tails []replication.WALTail) []WALTail {
 	return out
 }
 
-// Durability returns the disk tier's status for the selected shard
-// (default shard 0); the zero value with the tier off or for an
-// out-of-range selector.
-func (c *Cluster) Durability(shard ...int) DurabilityStatus {
-	if err := c.checkShard(shard); err != nil {
-		return DurabilityStatus{}
-	}
-	return durabilityStatus(c.group().Durability())
-}
-
-// PowerFail kills every machine of the selected shard (default shard 0)
-// at this instant: unlike CrashPrimary, the backups die too, and nothing
-// past each replica's last fdatasync is guaranteed on disk. The shard is
-// unusable afterwards; a fresh New over the same Durability.Dir performs
-// the cold restart. Returns ErrNoDurability without the disk tier and
-// ErrCrashed when the power is already off.
-func (c *Cluster) PowerFail(shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	return mapErr(c.group().PowerFail())
-}
-
-// WALTails returns, after a PowerFail, each replica's live WAL segment
-// and its synced offset — the handles a crash harness uses to tear the
-// unsynced tail. Nil before a PowerFail or without the disk tier.
-func (c *Cluster) WALTails(shard ...int) []WALTail {
-	if err := c.checkShard(shard); err != nil {
-		return nil
-	}
-	return walTails(c.group().WALTails())
-}
-
-// Close flushes and closes every WAL replica (a clean shutdown, as
-// opposed to PowerFail). The in-memory deployment is untouched; a no-op
-// without the disk tier.
-func (c *Cluster) Close() error { return c.group().Close() }
-
-// shardDurabilityDir returns shard i's subdirectory of the deployment's
-// durability directory.
-func shardDurabilityDir(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
-}
-
-// Durability returns the selected shard's disk-tier status (default
-// shard 0; the tier is configured uniformly, so Enabled is uniform too).
-func (s *ShardedCluster) Durability(shard ...int) DurabilityStatus {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return DurabilityStatus{}
-	}
-	return s.v().shards[i].Durability()
-}
-
-// PowerFail kills every machine of the selected shard (default shard 0).
-// A whole-deployment power loss is a PowerFail of every shard; each
-// shard then cold-restarts independently from its own subdirectory.
-func (s *ShardedCluster) PowerFail(shard ...int) error {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return err
-	}
-	return s.v().shards[i].PowerFail()
-}
-
-// WALTails returns the selected shard's post-PowerFail segment handles
-// (default shard 0); nil before a PowerFail or without the disk tier.
-func (s *ShardedCluster) WALTails(shard ...int) []WALTail {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return nil
-	}
-	return s.v().shards[i].WALTails()
-}
-
-// Close cleanly shuts the disk tier of every shard, returning the first
-// error; a no-op without the tier.
-func (s *ShardedCluster) Close() error {
+// Close flushes and closes every group's WAL replicas (a clean shutdown,
+// as opposed to PowerFail), returning the first error. The in-memory
+// deployment is untouched; a no-op without the disk tier.
+func (c *Cluster) Close() error {
 	var firstErr error
-	for i, c := range s.v().shards {
-		if err := c.Close(); err != nil && firstErr == nil {
+	for i, g := range c.view.Load().groups {
+		if err := g.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("repro: shard %d: %w", i, err)
 		}
 	}

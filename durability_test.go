@@ -57,7 +57,7 @@ func durCheck(t *testing.T, db repro.DB, k int) {
 }
 
 // TestClusterDurabilityOff: without Config.Durability the disk surface is
-// inert on both facades.
+// inert on every shape.
 func TestClusterDurabilityOff(t *testing.T) {
 	for name, admin := range conformanceTargets(t, replicatedCfg()) {
 		t.Run(name, func(t *testing.T) {
@@ -100,10 +100,15 @@ func TestClusterPowerFailRestart(t *testing.T) {
 	if len(db.WALTails()) == 0 {
 		t.Fatal("no WAL tails after PowerFail")
 	}
-	// The dead deployment refuses service.
-	if _, err := db.Begin(); !errors.Is(err, repro.ErrCrashed) {
-		t.Fatalf("Begin after PowerFail = %v, want ErrCrashed", err)
+	// The dead deployment refuses service at a transaction's first touch.
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := tx.SetRange(0, 8); !errors.Is(err, repro.ErrCrashed) {
+		t.Fatalf("first touch after PowerFail = %v, want ErrCrashed", err)
+	}
+	_ = tx.Abort()
 
 	db2, err := repro.New(durCfg(dir))
 	if err != nil {
@@ -167,5 +172,23 @@ func TestShardedPowerFailRestart(t *testing.T) {
 	}
 	if err := db2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLegacyDurabilityLayoutRefused: a data directory in the older
+// single-group layout (Dir/node-NNN, no Dir/shard-NNN) is refused at
+// construction rather than silently ignored by a cold restart.
+func TestLegacyDurabilityLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "node-000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		if _, err := repro.NewSharded(durCfg(dir), shards); err == nil {
+			t.Fatalf("NewSharded(%d) accepted a legacy node-NNN layout", shards)
+		}
+	}
+	if _, err := repro.New(durCfg(dir)); err == nil {
+		t.Fatal("New accepted a legacy node-NNN layout")
 	}
 }

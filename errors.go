@@ -15,22 +15,24 @@ import (
 // below. Sentinels that flow through transaction handles unchanged are
 // aliases of the internal layer's values, so errors.Is works on every
 // path; the remaining sentinels are owned here and translated at the
-// facade boundary by mapErr.
+// facade boundary by adminErr.
 //
 // Which calls return which errors:
 //
 //	Call                       Errors
 //	-------------------------  -------------------------------------------
 //	New / NewSharded           ErrShardCount, configuration errors
-//	DB.Begin                   ErrCrashed, ErrSafetyUnavailable,
+//	DB.Begin                   none: each group is admitted at the
+//	                           transaction's first touch of it
+//	Tx.SetRange                ErrBounds, ErrTxDone, ErrCrashed, and at a
+//	                           group's first touch ErrSafetyUnavailable,
 //	                           ErrLeaseExpired
-//	Tx.SetRange                ErrBounds, ErrTxDone, ErrCrashed
-//	Tx.Write                   ErrBounds, ErrWriteOutsideRange, ErrTxDone,
-//	                           ErrCrashed
-//	Tx.Read                    ErrBounds, ErrTxDone, ErrCrashed
-//	Tx.Commit                  ErrTxDone, ErrCrashed, ErrSafetyUnavailable
-//	                           (committed locally, acks not collected),
-//	                           *PartialCommitError (sharded multi-shard)
+//	Tx.Write                   as SetRange, plus ErrWriteOutsideRange
+//	Tx.Read                    as SetRange
+//	Tx.Commit                  ErrTxDone, ErrSafetyUnavailable (committed
+//	                           locally, acks not collected); a failed
+//	                           group commit (ErrCrashed) comes wrapped in
+//	                           a *PartialCommitError
 //	Tx.Abort                   ErrTxDone, ErrCrashed
 //	DB.Read / DB.Load          ErrBounds, ErrCrashed (Read only)
 //	DB.ReadAt                  ErrBounds, ErrCrashed,
@@ -40,6 +42,8 @@ import (
 //	DB.Token / ReplicaElapsed  none
 //	DB.ReadRaw                 none — panics on an out-of-range span
 //	DB.Flush                   ErrSafetyUnavailable
+//	BeginShard / LoadShard     ErrRebalanceActive, ErrNoSuchShard, then
+//	                           as the group's Begin / Load
 //	Admin.CrashPrimary         ErrNoSuchShard, ErrCrashed (already dead)
 //	Admin.PartitionPrimary     ErrNoSuchShard, ErrCrashed
 //	Admin.Failover             ErrNoSuchShard, ErrNoBackup
@@ -49,29 +53,31 @@ import (
 //	Admin.ResumeBackup         ErrNoSuchShard, no-such-backup errors
 //	Admin.PowerFail            ErrNoSuchShard, ErrNoDurability,
 //	                           ErrCrashed (power already off)
-//	Admin.AddShards            ErrNotElastic, ErrRebalanceActive,
-//	                           ErrShardCount, configuration errors
-//	Admin.RemoveShard          ErrNotElastic, ErrRebalanceActive,
-//	                           ErrNoSuchShard, ErrNoCapacity, ErrCrashed
-//	Admin.Rebalance[Async]     ErrNotElastic (Cluster), ErrRebalanceActive
-//	                           (Async only), ErrCrashed (mover blocked on
-//	                           a dead group; resolve and call again)
+//	Admin.AddShards            ErrRebalanceActive, ErrShardCount,
+//	                           configuration errors
+//	Admin.RemoveShard          ErrRebalanceActive, ErrNoSuchShard,
+//	                           ErrNoCapacity, ErrCrashed
+//	Admin.Rebalance[Async]     ErrRebalanceActive (Async only), ErrCrashed
+//	                           (mover blocked on a dead group; resolve
+//	                           and call again)
 //
 // The kv layer (package repro/kv) adds its own taxonomy on top of this
 // one; see that package's documentation.
 var (
 	// ErrCrashed is returned once the serving primary has crashed and no
-	// failover has happened yet: by Begin, by every method of a
-	// transaction handle the crash orphaned, and by charged reads. Call
+	// failover has happened yet: by a transaction's first touch of the
+	// group, by every method of a transaction handle the crash orphaned,
+	// and by charged reads. Call
 	// Failover (or enable Config.Autopilot) to restore service.
 	ErrCrashed = replication.ErrCrashed
 	// ErrSafetyUnavailable is returned when too few backups are
-	// reachable for the configured safety level: by Begin before a
-	// transaction opens, or by Commit when backups failed mid-flight —
+	// reachable for the configured safety level: by a transaction's first
+	// touch of the group, or by Commit when backups failed mid-flight —
 	// in the latter case the transaction is committed locally but its
 	// acknowledgement discipline was not met.
 	ErrSafetyUnavailable = replication.ErrSafetyUnavailable
-	// ErrLeaseExpired is returned by Begin on a deposed primary: the node
+	// ErrLeaseExpired is returned by a transaction's first touch of a
+	// deposed primary's group: the node
 	// is partitioned from the cluster and its serving lease has run out,
 	// so it refuses new commits (the surviving majority may already have
 	// promoted a replacement). See Config.Autopilot.
@@ -89,7 +95,7 @@ var (
 	ErrReplicaUnavailable = replication.ErrReplicaUnavailable
 	// ErrBounds is returned for any access outside the configured
 	// database size: transactional SetRange/Write/Read, charged Read,
-	// and Load, on both facades.
+	// and Load.
 	ErrBounds = vista.ErrBounds
 	// ErrWriteOutsideRange is returned by Tx.Write for bytes not covered
 	// by a declared set-range (unless the cluster was built with
@@ -107,25 +113,20 @@ var (
 	// ErrShardCount is returned by NewSharded for a non-positive shard
 	// count.
 	ErrShardCount = errors.New("repro: shard count must be at least 1")
-	// ErrNoSuchShard is returned for an out-of-range shard selector on
-	// the harmonized fault surface (see Admin): a Cluster is exactly
-	// shard 0 of itself, a ShardedCluster owns shards 0..Shards()-1.
+	// ErrNoSuchShard is returned for a shard selector outside
+	// 0..Shards()-1 (see Admin).
 	ErrNoSuchShard = errors.New("repro: no such shard")
-	// ErrNotElastic is returned by the elastic surface (AddShards,
-	// RemoveShard, Rebalance) on a deployment that cannot change its
-	// topology — a single Cluster, whose one replica group is its whole
-	// identity. Use NewSharded (even with one shard) for elasticity.
-	ErrNotElastic = errors.New("repro: deployment is not elastic")
 	// ErrRebalanceActive is returned by topology changes (AddShards,
-	// RemoveShard, RebalanceAsync) issued while a rebalance is still
-	// moving ranges; watch RebalanceProgress for completion.
+	// RemoveShard, RebalanceAsync) and by the placement-bypassing
+	// per-group access (BeginShard, LoadShard) issued while a rebalance
+	// is still moving ranges; watch RebalanceProgress for completion.
 	ErrRebalanceActive = errors.New("repro: rebalance already in progress")
 	// ErrNoCapacity is returned by RemoveShard when the surviving shards
 	// lack the free partition slots to absorb the drained shard's data.
 	ErrNoCapacity = placement.ErrNoCapacity
 )
 
-// PartialCommitError reports a sharded commit that failed part-way: the
+// PartialCommitError reports a commit that failed part-way: the
 // shards in Committed had already committed when shard Failed's commit
 // returned Err, and the remaining touched shards were rolled back
 // (Aborted). Cross-shard atomicity is out of scope by design, so callers
@@ -146,7 +147,7 @@ type PartialCommitError struct {
 // Error implements error.
 func (e *PartialCommitError) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "repro: partial sharded commit: shard %d failed: %v", e.Failed, e.Err)
+	fmt.Fprintf(&b, "repro: partial commit: shard %d failed: %v", e.Failed, e.Err)
 	fmt.Fprintf(&b, " (committed %v, aborted %v)", e.Committed, e.Aborted)
 	return b.String()
 }
@@ -154,13 +155,14 @@ func (e *PartialCommitError) Error() string {
 // Unwrap exposes the underlying shard failure to errors.Is/As.
 func (e *PartialCommitError) Unwrap() error { return e.Err }
 
-// mapErr translates internal-layer sentinels to the facade's taxonomy at
-// an API boundary. It is exhaustive over the errors the internal layers
-// can surface: aliased sentinels (ErrCrashed, ErrSafetyUnavailable,
-// ErrLeaseExpired, ErrBounds, ErrWriteOutsideRange, ErrTxDone) pass
-// through by identity, and the remaining internal values are mapped to
-// their public counterparts here.
-func mapErr(err error) error {
+// adminErr translates an Admin operation's internal-layer error to the
+// facade's taxonomy: the internal no-backup and nothing-to-repair values
+// map to their public sentinels, anything else is wrapped with the
+// operation's name. Sentinels that flow through the data plane
+// (ErrCrashed, ErrSafetyUnavailable, ErrLeaseExpired, ErrBounds,
+// ErrWriteOutsideRange, ErrTxDone) are aliases and pass through by
+// identity.
+func adminErr(op string, err error) error {
 	switch {
 	case err == nil:
 		return nil
@@ -169,6 +171,6 @@ func mapErr(err error) error {
 	case errors.Is(err, replication.ErrNotRepairable):
 		return ErrNotRepairable
 	default:
-		return err
+		return fmt.Errorf("repro: %s: %w", op, err)
 	}
 }

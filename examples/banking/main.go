@@ -22,7 +22,7 @@ const (
 )
 
 // bank is written against the DB interface: the same service code runs
-// over a Cluster or a ShardedCluster.
+// over any deployment, one replica group or many.
 type bank struct {
 	c repro.DB
 }

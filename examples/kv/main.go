@@ -28,9 +28,8 @@ func val(i int) []byte { return []byte(fmt.Sprintf("profile-%d-v1", i*31)) }
 func main() {
 	// A 3-node group (primary + 2 backups) at quorum commit: an acked
 	// write survives the loss of the primary plus any minority of
-	// backups. Both facades satisfy repro.DB — swap in NewSharded and
-	// nothing below changes.
-	var db repro.DB
+	// backups. NewSharded builds the same type — swap it in and nothing
+	// below changes.
 	db, err := repro.New(repro.Config{
 		Version: repro.V3InlineLog,
 		Backup:  repro.ActiveBackup,
@@ -53,7 +52,7 @@ func main() {
 	for i := 0; i < keys; i++ {
 		if i == crashWhen {
 			fmt.Printf("\n*** crashing the primary after %d acked puts ***\n", acked)
-			if err := db.(repro.Admin).CrashPrimary(); err != nil {
+			if err := db.CrashPrimary(); err != nil {
 				log.Fatal(err)
 			}
 			break
@@ -68,8 +67,7 @@ func main() {
 	if _, err := store.Get(key(0)); err == nil {
 		log.Fatal("store kept serving on a dead primary")
 	}
-	admin := db.(repro.Admin)
-	if err := admin.Failover(); err != nil {
+	if err := db.Failover(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("failed over to the most-caught-up backup")
@@ -99,7 +97,7 @@ func main() {
 
 	// The recovered store is fully writable; heal the group back to its
 	// configured degree while writing.
-	if err := admin.Repair(); err != nil {
+	if err := db.Repair(); err != nil {
 		log.Fatal(err)
 	}
 	for i := acked; i < keys; i++ {
@@ -108,6 +106,6 @@ func main() {
 		}
 	}
 	fmt.Printf("resumed the stream on the new primary: %d live keys, %d backups\n",
-		store.Len(), admin.Backups())
+		store.Len(), db.Backups())
 	fmt.Println("OK: zero acknowledged writes lost across crash, failover and recovery")
 }

@@ -60,15 +60,15 @@ func main() {
 	committedBefore := sc.Committed()
 	victim := 1
 	fmt.Printf("\ncrashing shard %d's primary AND backup 0 (no settling)...\n", victim)
-	if err := sc.Shard(victim).CrashPrimary(); err != nil {
+	if err := sc.CrashPrimary(victim); err != nil {
 		log.Fatal(err)
 	}
-	if err := sc.Shard(victim).CrashBackup(0); err != nil {
+	if err := sc.CrashBackup(0, victim); err != nil {
 		log.Fatal(err)
 	}
 
-	// The other shards never notice.
-	tx, err := sc.Shard(0).Begin()
+	// The other shards never notice: offset 0 lives on shard 0.
+	tx, err := sc.Begin()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("shard %d repaired: %d backups enrolled again, cluster at full degree\n",
-		victim, sc.Shard(victim).Backups())
+		victim, sc.Backups(victim))
 
 	tr := sc.NetTraffic()
 	fmt.Printf("\nSAN traffic across all shards: %d KB modified, %d KB meta\n",
@@ -108,7 +108,7 @@ func main() {
 
 // drive spreads slot-writes round-robin across the shards: transaction i
 // writes 64 bytes into shard i%N.
-func drive(sc *repro.ShardedCluster, n int) {
+func drive(sc *repro.Cluster, n int) {
 	sc.ResetMeasurement()
 	for i := 0; i < n; i++ {
 		shard := i % sc.Shards()

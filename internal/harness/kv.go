@@ -10,9 +10,9 @@ import (
 // The kv experiment exercises the redesigned API stack end to end: the
 // typed key-value layer (repro/kv) laid out inside the replicated bytes,
 // driven by the YCSB-style mixes of tpc.RunKV — and, because the driver
-// sees only the DB interface, the same cell runs over both facades. The
-// per-row comparison is the redesign's point: a Cluster and a sharded
-// front-end serve the identical typed workload, and the sharded rows pay
+// sees only the DB interface, the same cell runs over one group and four.
+// The per-row comparison is the redesign's point: both deployments serve
+// the identical typed workload, and the four-group rows pay
 // the kv layer's two-phase record-then-flip commit in exchange for
 // torn-write safety across shard boundaries.
 func init() {

@@ -39,7 +39,7 @@ type Event struct {
 	At    int64  `json:"at"`
 	Kind  string `json:"kind"`
 	Node  int    `json:"node"`        // replica index, -1 when not applicable
-	Shard int    `json:"shard"`       // stamped by the sharded facade
+	Shard int    `json:"shard"`       // stamped by the deployment
 	A     uint64 `json:"a,omitempty"` // kind-specific detail words
 	B     uint64 `json:"b,omitempty"`
 }

@@ -50,7 +50,7 @@ func (s Snapshot) EventsKind(kind string) []Event {
 }
 
 // Merge folds other into s: counters and gauges sum, same-name
-// histograms merge bucket-wise, events concatenate (the sharded facade
+// histograms merge bucket-wise, events concatenate (the deployment
 // stamps Shard before merging so provenance survives), and Window takes
 // the max. Merging into a zero Snapshot copies other.
 func (s *Snapshot) Merge(other Snapshot) {

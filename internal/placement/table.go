@@ -15,7 +15,7 @@ type Range struct {
 }
 
 // Table is one immutable placement version: the routing table the
-// sharded facade's hot paths consult through an atomic pointer. Epoch
+// deployment's hot paths consult through an atomic pointer. Epoch
 // identifies the version — it advances by one at every rebalance
 // cut-over, and readers compare Table pointers (not epochs) to detect a
 // flip mid-operation.

@@ -34,7 +34,7 @@ import (
 // briefly holds a single per-group mutex. At most one transaction is open
 // per group (the paper's single-stream engine): Begin blocks until the
 // previous transaction commits or aborts, while independent groups — the
-// shards of a ShardedCluster — proceed in parallel on independent
+// groups of a multi-group repro.Cluster — proceed in parallel on independent
 // goroutines. Management operations (Crash, Failover, RepairAsync, Settle,
 // fault injection) interleave between individual transaction operations,
 // so a crash can land in the middle of an open transaction exactly as on

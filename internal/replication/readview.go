@@ -325,7 +325,7 @@ func (g *Group) quorumReadLocked(off int, dst []byte, primary uint64) (ReadResul
 // ReplicaElapsed returns the longest simulated time any node of the group
 // — primary or read-serving backup — has accumulated since the last
 // ResetMeasurement. With reads routed to backups the primary and the K
-// read views run in parallel (like shards of a ShardedCluster), so the
+// read views run in parallel (like the groups of a multi-group deployment), so the
 // interval's wall time is the max over nodes, not the sum. Identical to
 // Elapsed when no backup served a read this interval.
 func (g *Group) ReplicaElapsed() sim.Time {

@@ -95,15 +95,14 @@ type AvailabilityResult struct {
 
 // RunAvailability populates the workload, warms up, and measures the
 // crash → failover → repair → restored timeline on the deployment. It is
-// written against the DB abstraction: any FaultDB — a Cluster or a
-// ShardedCluster (the crash and repair land on shard 0) — can sit under
-// it.
+// written against the FaultDB surface; on a multi-group deployment the
+// crash and repair land on shard 0.
 func RunAvailability(c FaultDB, w Workload, opts AvailabilityOptions) (AvailabilityResult, error) {
 	opts = opts.withDefaults()
 	if err := w.Populate(c.Load); err != nil {
 		return AvailabilityResult{}, err
 	}
-	st := &stream{db: c, w: w, r: NewRand(opts.Seed)}
+	st := newStream(c.Begin, w, opts.Seed)
 	one := st.one
 	for i := int64(0); i < opts.Warmup; i++ {
 		if err := one(); err != nil {

@@ -119,7 +119,7 @@ func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
 		return ChaosResult{}, err
 	}
 	faults := NewRand(opts.Seed ^ 0xC3A05)
-	st := &stream{db: c, w: w, r: NewRand(opts.Seed)}
+	st := newStream(c.Begin, w, opts.Seed)
 	one := st.one
 	for i := int64(0); i < opts.Warmup; i++ {
 		if err := one(); err != nil {

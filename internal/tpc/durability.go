@@ -122,7 +122,7 @@ func RunDurability(open func() (FaultDB, error), w Workload, opts DurabilityOpti
 	}
 	kills := NewRand(opts.Seed ^ 0xD15C)
 	kill := opts.Txns/2 + kills.IntN(opts.Txns/2+1)
-	st := &stream{db: db, w: w, r: NewRand(opts.Seed)}
+	st := newStream(db.Begin, w, opts.Seed)
 	for i := 0; i < kill; i++ {
 		if err := st.one(); err != nil {
 			return res, fmt.Errorf("tpc: txn %d: %w", i, err)
@@ -176,7 +176,8 @@ func RunDurability(open func() (FaultDB, error), w Workload, opts DurabilityOpti
 
 	// The restarted deployment serves: continue the stream where the
 	// recovered prefix ends, then shut down cleanly.
-	st2 := &stream{db: db2, w: w, r: NewRand(opts.Seed ^ 0xAF7E12), n: int64(res.Recovered)}
+	st2 := newStream(db2.Begin, w, opts.Seed^0xAF7E12)
+	st2.n = int64(res.Recovered)
 	for i := 0; i < 5; i++ {
 		if err := st2.one(); err != nil {
 			return res, fmt.Errorf("tpc: post-restart txn %d: %w", i, err)

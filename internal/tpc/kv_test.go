@@ -27,7 +27,7 @@ func kvDeployment(t testing.TB, shards int) repro.DB {
 	return sc
 }
 
-// TestRunKVMixes drives every mix over both facades through the one DB
+// TestRunKVMixes drives every mix over one group and four through the one DB
 // interface and checks the operation accounting.
 func TestRunKVMixes(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -72,7 +72,7 @@ func TestRunKVMixes(t *testing.T) {
 }
 
 // TestRunKVDeterministic pins the driver's reproducibility: same seed,
-// same simulated throughput, on both facades.
+// same simulated throughput, on one group and four.
 func TestRunKVDeterministic(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		var first KVResult

@@ -10,13 +10,15 @@ import (
 	"repro/internal/sim"
 )
 
-// RunSharded drives a sharded cluster with opts.Clients concurrent client
-// goroutines, partitioned by shard: client c owns shards {i : i mod C ==
-// c} and interleaves their streams round-robin, so no two clients ever
-// contend on one shard's lock. Each shard gets its own workload instance
-// (built by mk for the shard's size) over its own slice of the database
-// and its own deterministic generator, keeping every shard's transaction
-// stream reproducible regardless of goroutine scheduling.
+// RunSharded drives a deployment's replica groups with opts.Clients
+// concurrent client goroutines, partitioned by shard: client c owns shards
+// {i : i mod C == c} and interleaves their streams round-robin, so no two
+// clients ever contend on one shard's lock. Each shard gets its own
+// workload instance (built by mk for the shard's size) over that group's
+// own address space (LoadShard/BeginShard) and its own deterministic
+// generator, keeping every shard's transaction stream reproducible
+// regardless of goroutine scheduling. The deployment must not be
+// rebalancing.
 //
 // opts.Txns and opts.Warmup are per shard: the measured total is
 // opts.Txns * Shards. The result reports both the paper's metric —
@@ -25,7 +27,7 @@ import (
 // min(shards, GOMAXPROCS) now that shards run on independent goroutines.
 // opts.Oracle, AbortEvery, WarmCache and StartMeasured are not supported
 // here (they are single-stream concepts).
-func RunSharded(sc *repro.ShardedCluster, mk func(dbSize int) (Workload, error), opts Options) (Result, error) {
+func RunSharded(sc *repro.Cluster, mk func(dbSize int) (Workload, error), opts Options) (Result, error) {
 	if opts.Txns <= 0 {
 		return Result{}, fmt.Errorf("tpc: non-positive per-shard transaction count %d", opts.Txns)
 	}
@@ -41,14 +43,11 @@ func RunSharded(sc *repro.ShardedCluster, mk func(dbSize int) (Workload, error),
 		if err != nil {
 			return Result{}, err
 		}
-		if err := w.Populate(sc.Shard(i).Load); err != nil {
+		load := func(off int, data []byte) error { return sc.LoadShard(i, off, data) }
+		if err := w.Populate(load); err != nil {
 			return Result{}, fmt.Errorf("tpc: shard %d populate: %w", i, err)
 		}
-		streams[i] = &stream{
-			db: sc.Shard(i),
-			w:  w,
-			r:  NewRand(opts.Seed + uint64(i)),
-		}
+		streams[i] = newStream(func() (repro.Tx, error) { return sc.BeginShard(i) }, w, opts.Seed+uint64(i))
 	}
 
 	// Warmup runs concurrently too (cache and SAN state carry over into

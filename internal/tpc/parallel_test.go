@@ -9,7 +9,7 @@ import (
 
 const parDB = 12 << 20 // 4 MB per shard at 3 shards: enough for Debit-Credit
 
-func newParSharded(t *testing.T, shards int) *repro.ShardedCluster {
+func newParSharded(t *testing.T, shards int) *repro.Cluster {
 	t.Helper()
 	sc, err := repro.NewSharded(repro.Config{
 		Version: repro.V3InlineLog,

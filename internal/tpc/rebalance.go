@@ -132,9 +132,7 @@ type RebalanceResult struct {
 
 // RunRebalance populates the workload over the database minus the audit
 // reserve, warms up, and measures the grow → rebalance → grown timeline
-// on the deployment. It is written against the driver-facing FaultDB
-// surface but requires an elastic deployment underneath: a Cluster
-// refuses the first AddShards with ErrNotElastic.
+// on the deployment. Any deployment can grow, a one-group New included.
 func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts RebalanceOptions) (RebalanceResult, error) {
 	opts = opts.withDefaults()
 	reserve := opts.AuditSlots * auditSlot
@@ -190,7 +188,7 @@ func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts Rebalan
 		return nil
 	}
 
-	st := &stream{db: c, w: w, r: NewRand(opts.Seed)}
+	st := newStream(c.Begin, w, opts.Seed)
 	one := func() error {
 		if err := st.one(); err != nil {
 			return err

@@ -7,7 +7,7 @@ import (
 	"repro/internal/tpc"
 )
 
-func newElastic(t *testing.T, shards int) *repro.ShardedCluster {
+func newElastic(t *testing.T, shards int) *repro.Cluster {
 	t.Helper()
 	sc, err := repro.NewSharded(repro.Config{
 		Version: repro.V3InlineLog,
@@ -89,23 +89,5 @@ func TestRunRebalanceDeterministic(t *testing.T) {
 		if a.Windows[i] != b.Windows[i] {
 			t.Fatalf("window %d differs: %+v vs %+v", i, a.Windows[i], b.Windows[i])
 		}
-	}
-}
-
-// TestRunRebalanceNonElastic: a plain Cluster underneath refuses growth.
-func TestRunRebalanceNonElastic(t *testing.T) {
-	c, err := repro.New(repro.Config{
-		Version: repro.V3InlineLog,
-		Backup:  repro.ActiveBackup,
-		DBSize:  4 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = tpc.RunRebalance(c, func(dbSize int) (tpc.Workload, error) {
-		return tpc.NewDebitCredit(dbSize)
-	}, tpc.RebalanceOptions{TargetShards: []int{2}})
-	if err == nil {
-		t.Fatal("expected ErrNotElastic from a Cluster")
 	}
 }

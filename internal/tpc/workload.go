@@ -34,6 +34,7 @@ type Workload interface {
 }
 
 // NewRand returns the deterministic generator used by drivers and tests.
-func NewRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0x9E3779B97F4A7C15))
-}
+func NewRand(seed uint64) *rand.Rand { return rand.New(newPCG(seed)) }
+
+// newPCG is NewRand's source, exposed to drivers that rewind it.
+func newPCG(seed uint64) *rand.PCG { return rand.NewPCG(seed, seed^0x9E3779B97F4A7C15) }

@@ -255,15 +255,24 @@ func OpenWith(db repro.DB, opt Options) (*Store, error) {
 func (s *Store) Reopen() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Probe servability by reading the header through a transaction: its
+	// first touch admits the header's replica group, which is where a dead
+	// or fenced group refuses — or where its autopilot promotes a
+	// survivor.
 	tx, err := s.db.Begin()
 	if err != nil {
+		return err
+	}
+	var head [headerSize]byte
+	if err := tx.Read(0, head[:]); err != nil {
+		if abortErr := tx.Abort(); abortErr != nil {
+			return fmt.Errorf("%w (abort also failed: %w)", err, abortErr)
+		}
 		return err
 	}
 	if err := tx.Abort(); err != nil {
 		return err
 	}
-	var head [headerSize]byte
-	s.db.ReadRaw(0, head[:])
 	if !bytes.Equal(head[hMagic:hMagic+8], magic) {
 		return ErrBadFormat
 	}

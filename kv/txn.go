@@ -10,9 +10,8 @@ import (
 // transaction's own buffered writes; Put and Delete buffer until Commit,
 // which persists the whole set through the store's two-phase protocol —
 // every record lands in its slot before any bucket flips, so a crash
-// mid-commit never exposes a half-written record. On a single-shard
-// deployment (a Cluster, or a one-shard ShardedCluster) the commit is one
-// underlying transaction and therefore atomic: all of the transaction's
+// mid-commit never exposes a half-written record. On a one-group
+// deployment the commit is one underlying transaction and therefore atomic: all of the transaction's
 // keys become visible together or not at all. On a multi-shard deployment
 // the bucket flips commit shard by shard — the underlying layer has no
 // cross-shard atomic commit — so a crash at the wrong instant can expose

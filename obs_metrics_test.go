@@ -266,10 +266,12 @@ func TestMetricsScrapeRace(t *testing.T) {
 	}
 	wg.Wait()
 	// The load may have drained before the crash landed; the unattended
-	// takeover rides on admission, so keep knocking (Begin pumps the
-	// failure loop) until the promotion reaches the ring.
+	// takeover rides on admission, so keep knocking (a transaction's
+	// first touch pumps the failure loop) until the promotion reaches the
+	// ring.
 	for i := 0; i < 1000 && len(c.Metrics().EventsKind(obs.EventFailover)) == 0; i++ {
 		if tx, err := c.Begin(); err == nil {
+			_ = tx.SetRange(0, 8)
 			_ = tx.Abort()
 		}
 		c.Settle()
@@ -289,7 +291,7 @@ func TestMetricsScrapeRace(t *testing.T) {
 	}
 }
 
-// TestShardedMetricsMerge: the sharded facade merges its per-shard
+// TestShardedMetricsMerge: a multi-group deployment merges its per-group
 // registries into one snapshot — counters sum, and every event is
 // stamped with its owning shard so a trace reads unambiguously.
 func TestShardedMetricsMerge(t *testing.T) {

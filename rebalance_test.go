@@ -3,11 +3,13 @@ package repro_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro"
 	"repro/internal/obs"
+	"repro/kv"
 )
 
 // elasticConfig is the deployment template the rebalance tests share:
@@ -26,7 +28,7 @@ func elasticConfig(dbSize int, metrics bool) repro.Config {
 
 // shadowFill loads a deterministic pattern and returns the in-memory
 // shadow copy the tests audit against.
-func shadowFill(t *testing.T, sc *repro.ShardedCluster, dbSize int, seed int64) []byte {
+func shadowFill(t *testing.T, sc *repro.Cluster, dbSize int, seed int64) []byte {
 	t.Helper()
 	shadow := make([]byte, dbSize)
 	rand.New(rand.NewSource(seed)).Read(shadow)
@@ -44,7 +46,7 @@ func shadowFill(t *testing.T, sc *repro.ShardedCluster, dbSize int, seed int64) 
 }
 
 // shadowAudit compares the whole database against the shadow copy.
-func shadowAudit(t *testing.T, sc *repro.ShardedCluster, shadow []byte, phase string) {
+func shadowAudit(t *testing.T, sc *repro.Cluster, shadow []byte, phase string) {
 	t.Helper()
 	got := make([]byte, len(shadow))
 	sc.ReadRaw(0, got)
@@ -59,7 +61,7 @@ func shadowAudit(t *testing.T, sc *repro.ShardedCluster, shadow []byte, phase st
 }
 
 // shadowTxn commits one 64-byte write at off, mirrored into the shadow.
-func shadowTxn(t *testing.T, sc *repro.ShardedCluster, shadow []byte, r *rand.Rand, off int) {
+func shadowTxn(t *testing.T, sc *repro.Cluster, shadow []byte, r *rand.Rand, off int) {
 	t.Helper()
 	var val [64]byte
 	r.Read(val[:])
@@ -166,6 +168,43 @@ func TestRebalanceGrowMovesData(t *testing.T) {
 	// The moved bytes were charged to the SANs as sync-category traffic.
 	if tr := sc.NetTraffic(); tr.SyncBytes < prog.BytesShipped {
 		t.Fatalf("SyncBytes %d below shipped %d", tr.SyncBytes, prog.BytesShipped)
+	}
+}
+
+// TestPerGroupAccessRefusedDuringRebalance: BeginShard and LoadShard
+// bypass placement and the mover's dirty tracking, so they refuse while a
+// rebalance is moving ranges and work again once it is done.
+func TestPerGroupAccessRefusedDuringRebalance(t *testing.T) {
+	const dbSize = 512 << 10
+	sc, err := repro.NewSharded(elasticConfig(dbSize, false), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadowFill(t, sc, dbSize, 5)
+	if _, err := sc.AddShards(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.RebalanceAsync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.BeginShard(0); !errors.Is(err, repro.ErrRebalanceActive) {
+		t.Fatalf("BeginShard during rebalance = %v, want ErrRebalanceActive", err)
+	}
+	if err := sc.LoadShard(0, 0, []byte{1}); !errors.Is(err, repro.ErrRebalanceActive) {
+		t.Fatalf("LoadShard during rebalance = %v, want ErrRebalanceActive", err)
+	}
+	if err := sc.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := sc.BeginShard(0)
+	if err != nil {
+		t.Fatalf("BeginShard after rebalance: %v", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.LoadShard(0, 0, []byte{1}); err != nil {
+		t.Fatalf("LoadShard after rebalance: %v", err)
 	}
 }
 
@@ -347,7 +386,7 @@ func TestRemoveShardDrains(t *testing.T) {
 
 // TestElasticDegenerate: the static layout is the degenerate
 // single-epoch ring — without elastic calls the routing is bit-for-bit
-// the fixed off/ShardSize arithmetic, and a Cluster rejects the surface.
+// the fixed off/ShardSize arithmetic.
 func TestElasticDegenerate(t *testing.T) {
 	sc := newSharded(t, 3)
 	if sc.PlacementEpoch() != 1 {
@@ -367,18 +406,95 @@ func TestElasticDegenerate(t *testing.T) {
 	if _, err := sc.AddShards(0); !errors.Is(err, repro.ErrShardCount) {
 		t.Fatalf("AddShards(0) = %v", err)
 	}
+}
 
-	c, err := repro.New(repro.Config{Version: repro.V3InlineLog, Backup: repro.ActiveBackup, DBSize: testDB})
+// TestElasticGrowFromOneGroup: a New deployment is one replica group
+// under the one-range placement table, and it grows like any other. A kv
+// store keeps putting while the deployment goes 1 → 2 shards (the puts
+// pump the range mover); afterwards the index recovered from the
+// replicated bytes serves the last acknowledged value of every key, and
+// the new group owns part of the space.
+func TestElasticGrowFromOneGroup(t *testing.T) {
+	const dbSize = 1 << 20
+	c, err := repro.New(elasticConfig(dbSize, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddShards(1); !errors.Is(err, repro.ErrNotElastic) {
-		t.Fatalf("Cluster.AddShards = %v", err)
+	if c.Shards() != 1 || c.PlacementEpoch() != 1 || c.Capacity() != dbSize {
+		t.Fatalf("fresh New: shards %d epoch %d capacity %d", c.Shards(), c.PlacementEpoch(), c.Capacity())
 	}
-	if err := c.Rebalance(); !errors.Is(err, repro.ErrNotElastic) {
-		t.Fatalf("Cluster.Rebalance = %v", err)
+	store, err := kv.Open(c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.PlacementEpoch() != 1 {
-		t.Fatalf("Cluster epoch = %d", c.PlacementEpoch())
+	const keys = 400
+	acked := make(map[string]string, keys)
+	put := func(i, ver int) {
+		k, v := fmt.Sprintf("key%04d", i), fmt.Sprintf("value-%04d-v%d", i, ver)
+		if err := store.Put([]byte(k), []byte(v)); err != nil {
+			t.Fatalf("put %s: %v", k, err)
+		}
+		acked[k] = v
+	}
+	for i := 0; i < keys; i++ {
+		put(i, 0)
+	}
+	ids, err := c.AddShards(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 1 || ids[0] != 1 || c.Shards() != 2 {
+		t.Fatalf("AddShards = %v, Shards() = %d", ids, c.Shards())
+	}
+	if err := c.RebalanceAsync(); err != nil {
+		t.Fatal(err)
+	}
+	ver := 1
+	for ; ver < 200 && c.RebalanceProgress().Active; ver++ {
+		for i := ver % 7; i < keys; i += 7 {
+			put(i, ver)
+		}
+	}
+	if c.RebalanceProgress().BytesShipped == 0 {
+		t.Fatal("the put stream never pumped the mover")
+	}
+	if err := c.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i += 3 {
+		put(i, ver)
+	}
+	c.Settle()
+
+	p := c.RebalanceProgress()
+	if p.Active || p.MovesDone == 0 || c.PlacementEpoch() != 1+uint64(p.MovesDone) {
+		t.Fatalf("rebalance progress %+v, epoch %d", p, c.PlacementEpoch())
+	}
+	owned := 0
+	for off := 0; off < dbSize; off += 4096 {
+		if c.ShardFor(off) == 1 {
+			owned++
+		}
+	}
+	if owned == 0 {
+		t.Fatal("the added group owns no pages after the rebalance")
+	}
+	if tok := c.Token(nil); len(tok) != 2 || tok[1] == 0 {
+		t.Fatalf("token %v: the added group never committed", tok)
+	}
+	// Audit: recover the index from the replicated bytes and read back
+	// every acknowledged write.
+	reopened, err := kv.Open(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range acked {
+		got, err := reopened.Get([]byte(k))
+		if err != nil {
+			t.Fatalf("get %s: %v", k, err)
+		}
+		if string(got) != want {
+			t.Fatalf("lost acked write: %s = %q, want %q", k, got, want)
+		}
 	}
 }

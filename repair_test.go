@@ -134,8 +134,8 @@ func TestShardedRepairAsync(t *testing.T) {
 	if p := sc.RepairProgress(1); p.Active {
 		t.Fatalf("shard repair never completed: %+v", p)
 	}
-	if sc.Shard(1).Backups() != 1 {
-		t.Fatalf("shard 1 has %d backups after repair, want 1", sc.Shard(1).Backups())
+	if sc.Backups(1) != 1 {
+		t.Fatalf("shard 1 has %d backups after repair, want 1", sc.Backups(1))
 	}
 	if err := sc.RepairAsync(9); !errors.Is(err, repro.ErrNoSuchShard) {
 		t.Fatalf("out-of-range shard repair: %v", err)

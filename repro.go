@@ -5,9 +5,13 @@
 // passively (write-through doubling over a modelled Memory Channel SAN) or
 // actively (a redo-log circular buffer applied by each backup CPU), with
 // configurable commit safety (1-safe, 2-safe, quorum), crash injection,
-// most-caught-up failover and repair. NewSharded stripes a database across
-// N independent replica groups for throughput that scales with shard
-// count.
+// most-caught-up failover and repair.
+//
+// A deployment is a Cluster: one or more such replica groups, striped
+// across the database by a versioned placement table. New builds one group
+// owning the whole database — the paper's unit of deployment; NewSharded
+// builds N for throughput that scales with the group count; AddShards and
+// Rebalance grow either kind online.
 //
 // The package is the public facade over the internal substrate packages.
 // State is real — crash the primary at any instant and a backup recovers
@@ -18,13 +22,12 @@
 //
 // # The DB interface
 //
-// Every deployment — a single replica group (New) or a sharded front-end
-// (NewSharded) — satisfies the DB interface: one data-plane and
-// observability surface to write drivers, harnesses and applications
-// against. Fault injection and recovery live on the companion Admin
-// interface, whose methods take an optional shard selector so a Cluster
-// and a one-shard ShardedCluster are fully interchangeable. The complete
-// error taxonomy is documented in one place; see errors.go.
+// A Cluster satisfies the DB interface: one data-plane and observability
+// surface to write drivers, harnesses and applications against. Fault
+// injection and recovery live on the companion Admin interface, whose
+// methods take an optional shard selector (omitted, it targets shard 0 —
+// the whole deployment when there is one group). The complete error
+// taxonomy is documented in one place; see errors.go.
 //
 // Quick start — byte offsets (db satisfies repro.DB):
 //
@@ -55,12 +58,16 @@
 package repro
 
 import (
-	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/placement"
 	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/vista"
@@ -165,7 +172,7 @@ func (m ReadMode) Valid() bool { return replication.ReadMode(m).Valid() }
 
 // Token is a per-shard commit-sequence vector: element i is a lower bound
 // on the committed-transaction count of shard i that the holder's reads
-// must observe (a Cluster is its own shard 0). Tokens are plain data —
+// must observe (a one-group deployment has the single element 0). Tokens are plain data —
 // comparable, mergeable by element-wise max, and portable across
 // deployments: a shard with no element (nil token, or a token captured on
 // a deployment with fewer shards) is simply unconstrained, so a token from
@@ -209,7 +216,7 @@ type ReadOpts struct {
 // ReadResult reports where a ReadAt was served.
 type ReadResult struct {
 	// Replica is 0 when the primary served, r ≥ 1 when backup r-1 did.
-	// On a sharded deployment it reports the last sub-span's server.
+	// A read spanning several groups reports the last sub-span's server.
 	Replica int
 	// Seq is the serving view's commit sequence and Primary the shard's
 	// committed counter at routing time; Primary-Seq is the staleness the
@@ -220,7 +227,7 @@ type ReadResult struct {
 	Repaired int
 }
 
-// Config sizes a Cluster.
+// Config sizes a Cluster; every replica group is built from it.
 type Config struct {
 	// Version is the engine design; see the Version constants.
 	Version Version
@@ -271,15 +278,15 @@ type Config struct {
 	// Autopilot switches on unattended failure handling: heartbeat
 	// failure detection, lease-guarded auto-failover and self-healing
 	// repair. Off (zero) by default — every fault is then handled by the
-	// manual Failover/Repair calls exactly as before. On a sharded
-	// cluster the configuration applies per shard (each shard runs its
-	// own detector and spare pool).
+	// manual Failover/Repair calls exactly as before. The configuration
+	// applies per replica group (each runs its own detector and spare
+	// pool).
 	Autopilot AutopilotConfig
 	// Durability switches on the per-replica disk tier: redo WAL +
 	// snapshots + cold-restart recovery (see DurabilityConfig). Off
 	// (zero) by default — nothing touches the filesystem and every
-	// simulated metric is bit-for-bit unchanged. On a sharded cluster
-	// each shard persists under its own Dir/shard-NNN subdirectory.
+	// simulated metric is bit-for-bit unchanged. Replica group i persists
+	// under its own Dir/shard-NNN subdirectory.
 	Durability DurabilityConfig
 	// Metrics attaches the observability layer: a per-deployment metrics
 	// registry (commit/flush latency histograms, read-route and WAL
@@ -288,9 +295,8 @@ type Config struct {
 	// rotations — snapshot it with DB.Metrics. Off (false) by default:
 	// no instrument is registered, nothing reads any clock on the
 	// instrumentation's behalf, and every simulated metric is
-	// bit-for-bit unchanged. On a sharded cluster each shard owns its
-	// own registry; DB.Metrics merges them, stamping events with their
-	// shard.
+	// bit-for-bit unchanged. Each replica group owns its own registry;
+	// DB.Metrics merges them, stamping events with their shard.
 	Metrics bool
 }
 
@@ -314,7 +320,7 @@ type AutopilotConfig struct {
 	// backup is declared dead, and refills the group after a failover.
 	AutoRepair bool
 	// Spares is the number of fresh spare nodes the autopilot may enroll
-	// over the cluster's lifetime (per shard on a sharded cluster).
+	// over the cluster's lifetime (per replica group).
 	Spares int
 }
 
@@ -356,61 +362,198 @@ func (t Traffic) Total() int64 {
 	return t.ModifiedBytes + t.UndoBytes + t.MetaBytes + t.SyncBytes + t.ControlBytes
 }
 
-// Cluster is one deployment: a primary transaction server and, unless
-// standalone, a backup node fed through the modelled SAN.
+// Cluster is a deployment: one or more replica groups — each a primary
+// transaction server and, unless standalone, K backup nodes fed through its
+// own modelled SAN — striped across the database by a versioned placement
+// table (internal/placement). New builds one group owning the whole
+// database; NewSharded builds N, group i owning offsets [i*ShardSize,
+// (i+1)*ShardSize) at construction. AddShards + Rebalance (or RemoveShard)
+// later re-home partition-aligned ranges between groups while the
+// deployment serves — see rebalance.go. The groups have independent
+// simulated clocks, so they progress in parallel and aggregate throughput
+// scales with the group count.
 //
-// A Cluster is safe for concurrent use: every transaction-handle call and
-// every management call briefly holds the underlying replica group's
-// mutex. Begin blocks until the previous transaction commits or aborts
-// (one transaction is in flight per cluster — the paper's single-stream
-// engine), while CrashPrimary may land in the middle of an open
-// transaction exactly as on real hardware: the dead transaction's
-// remaining calls fail with ErrCrashed and failover rolls it back. Stats,
-// Committed, NetTraffic and Elapsed sample atomic counters without
-// blocking. Real parallelism comes from driving independent shards (see
-// ShardedCluster).
+// Operations are routed by offset: readers load the current table through
+// an atomic pointer — no locks on the hot path — and a rebalance publishes
+// a new version only at each range's cut-over. Ranges spanning an
+// ownership boundary are split. A transaction that touches several groups
+// commits on each independently, in shard order — there is no cross-shard
+// atomic commit (the paper's API leaves concurrency control, and a
+// fortiori distributed commit, to a separate layer); a mid-commit failure
+// surfaces as a *PartialCommitError naming the shards that did and did not
+// commit.
+//
+// # Concurrency
+//
+// A Cluster is safe for concurrent use. Each group runs one transaction at
+// a time (the paper's single-stream engine); a transaction holds every
+// group it has touched until Commit/Abort, acquiring them in first-touch
+// order, so concurrent multi-group transactions must touch groups in a
+// consistent (ascending) order or risk deadlock, as in any ordered-locking
+// scheme. Transactions on different groups run genuinely in parallel.
+// CrashPrimary may land in the middle of an open transaction exactly as on
+// real hardware: the dead transaction's remaining calls fail with
+// ErrCrashed and failover rolls it back. Aggregate readers (Stats,
+// Committed, NetTraffic, Elapsed) sample atomic counters and never block.
 type Cluster struct {
-	cfg Config
-	// pair is set once at construction: Failover and Repair rewire the
-	// group in place, so the pointer never changes and every operation
-	// simply delegates (the group's own mutex provides the locking).
-	pair *replication.Pair
-	// reg is the deployment's metrics registry; nil with Config.Metrics
-	// off (Metrics then returns the zero Snapshot).
+	cfg       Config
+	shardSize int // bytes per replica group
+	dbSize    int
+
+	// view is the atomically published routing state: the group list and
+	// the placement table, swapped together so a reader's (groups, table)
+	// pair is always consistent. Hot paths load it once per span and
+	// compare table pointers — not epochs — to detect a cut-over that
+	// raced their group acquisition.
+	view atomic.Pointer[placeView]
+
+	// admin serializes topology mutation (AddShards, RemoveShard, the
+	// planning half of Rebalance) and guards layout + pending.
+	admin   sync.Mutex
+	layout  *placement.Layout
+	pending []int // shards added since the last rebalance plan
+
+	// mig is the range mover's state; see rebalance.go.
+	mig migState
+
+	// finishing counts transactions inside finish(): between releasing
+	// their per-group transactions and publishing their dirty marks. The
+	// cut-over barrier spin-waits it to zero after taking the source's
+	// transaction slot, closing the release-before-mark window.
+	finishing atomic.Int64
+
+	// reg is the deployment-level metrics registry (rebalance instruments
+	// and placement events; each group has its own). Nil with
+	// Config.Metrics off.
+	reg     *obs.Registry
+	mRanges *obs.Counter
+	mBytes  *obs.Counter
+	mStalls *obs.Counter
+	mEpoch  *obs.Gauge
+
+	// txPool recycles tx values (with their per-group open tables) across
+	// Begin/Commit cycles so the steady-state transaction path allocates
+	// nothing. The usual pool hazard applies: a Tx must not be used after
+	// Commit/Abort.
+	txPool sync.Pool
+}
+
+// group is one replica group and its metrics registry (nil with
+// Config.Metrics off). Failover and Repair rewire the group in place, so
+// the pointer never changes and the group's own mutex provides the
+// locking.
+type group struct {
+	*replication.Pair
 	reg *obs.Registry
 }
 
-// group returns the underlying replica group.
-func (c *Cluster) group() *replication.Pair { return c.pair }
+// placeView is one immutable routing snapshot: the group list (tombstoned
+// slots included, so shard ids index it forever) plus the placement table
+// mapping global offsets onto it.
+type placeView struct {
+	groups []group
+	table  *placement.Table
+}
 
-// checkShard validates the Admin surface's optional shard selector: a
-// Cluster is exactly shard 0 of itself.
-func (c *Cluster) checkShard(shard []int) error {
-	i, err := shardArg(shard)
-	if err != nil {
-		return err
+// shardAlign keeps NewSharded's group sizes page-friendly; elastic growth
+// needs groups of a whole number of these.
+const shardAlign = 4096
+
+// New builds a one-group deployment: a single replica group of exactly
+// cfg.DBSize bytes.
+func New(cfg Config) (*Cluster, error) { return build(cfg, 1, cfg.DBSize) }
+
+// NewSharded builds a deployment of shards independent replica groups,
+// each configured per cfg with a DBSize slice of the total. cfg.DBSize is
+// the total database size across all groups; the per-group slice is
+// rounded up to a 4 KB multiple, so the deployment's Capacity may exceed
+// DBSize — offsets are validated against the configured DBSize, and the
+// rounding tail of the last group is unused.
+func NewSharded(cfg Config, shards int) (*Cluster, error) {
+	if shards < 1 {
+		return nil, ErrShardCount
 	}
-	if i != 0 {
-		return ErrNoSuchShard
+	if cfg.DBSize <= 0 {
+		return nil, fmt.Errorf("repro: invalid database size %d", cfg.DBSize)
+	}
+	size := (cfg.DBSize + shards - 1) / shards
+	size = (size + shardAlign - 1) &^ (shardAlign - 1)
+	return build(cfg, shards, size)
+}
+
+// build assembles shards groups of size bytes each under the uniform
+// construction-time placement.
+func build(cfg Config, shards, size int) (*Cluster, error) {
+	if cfg.Backup == 0 {
+		cfg.Backup = Standalone
+	}
+	if err := checkLayout(cfg.Durability); err != nil {
+		return nil, err
+	}
+	c := &Cluster{cfg: cfg, shardSize: size, dbSize: cfg.DBSize}
+	groups := make([]group, 0, shards)
+	for i := 0; i < shards; i++ {
+		g, err := c.newGroup(i)
+		if err != nil {
+			return nil, err
+		}
+		groups = append(groups, g)
+	}
+	// The layout tiles whole pages; a New group of an unaligned size still
+	// routes every in-bounds offset to itself (see AddShards).
+	c.layout = placement.NewLayout(shards, (size+shardAlign-1)&^(shardAlign-1), 0)
+	c.view.Store(&placeView{groups: groups, table: c.layout.Compile(1)})
+	c.mig.curFrom.Store(-1)
+	c.mig.curTo.Store(-1)
+	if cfg.Metrics {
+		c.reg = obs.NewRegistry()
+		c.mRanges = c.reg.Counter("place.ranges_moved")
+		c.mBytes = c.reg.Counter("place.bytes_shipped")
+		c.mStalls = c.reg.Counter("place.cutover_stalls")
+		c.mEpoch = c.reg.Gauge("place.epoch")
+		c.mEpoch.Set(1)
+	}
+	c.txPool.New = func() any {
+		return &tx{c: c, open: make([]replication.TxHandle, shards)}
+	}
+	return c, nil
+}
+
+// checkLayout refuses a durability directory in the older single-group
+// layout (Dir/node-NNN, no Dir/shard-NNN): a cold restart would find no
+// WAL under Dir/shard-000 and come up empty beside the old files.
+func checkLayout(d DurabilityConfig) error {
+	if !d.Enabled() {
+		return nil
+	}
+	if _, err := os.Stat(filepath.Join(d.Dir, "shard-000")); err == nil {
+		return nil
+	}
+	if _, err := os.Stat(filepath.Join(d.Dir, "node-000")); err == nil {
+		return fmt.Errorf("repro: %s holds a single-group durability layout (node-NNN directly under it); move those directories into %s",
+			d.Dir, filepath.Join(d.Dir, "shard-000"))
 	}
 	return nil
 }
 
-// New builds a cluster per the configuration.
-func New(cfg Config) (*Cluster, error) {
-	if cfg.Backup == 0 {
-		cfg.Backup = Standalone
-	}
+// newGroup builds replica group id from the deployment's template
+// configuration (shared by construction and AddShards).
+func (c *Cluster) newGroup(id int) (group, error) {
+	cfg := c.cfg
 	var reg *obs.Registry
 	if cfg.Metrics {
 		reg = obs.NewRegistry()
+	}
+	dir := cfg.Durability.Dir
+	if cfg.Durability.Enabled() {
+		dir = filepath.Join(dir, fmt.Sprintf("shard-%03d", id))
 	}
 	pair, err := replication.NewGroup(replication.Config{
 		Mode: replication.Mode(cfg.Backup),
 		Obs:  reg,
 		Store: vista.Config{
 			Version:         vista.Version(cfg.Version),
-			DBSize:          cfg.DBSize,
+			DBSize:          c.shardSize,
 			SparseDB:        cfg.SparseDB,
 			UncheckedWrites: cfg.UncheckedWrites,
 		},
@@ -419,217 +562,206 @@ func New(cfg Config) (*Cluster, error) {
 		Backups:      cfg.Backups,
 		Safety:       replication.Safety(cfg.Safety),
 		CommitBatch:  cfg.CommitBatch,
-		CommitWindow: sim.Dur(cfg.CommitWindow.Nanoseconds()) * sim.Nanosecond,
+		CommitWindow: simDur(cfg.CommitWindow),
 		RepairChunk:  cfg.RepairChunk,
 		RepairShare:  cfg.RepairShare,
-		SettleGrace:  sim.Dur(cfg.SettleGrace.Nanoseconds()) * sim.Nanosecond,
+		SettleGrace:  simDur(cfg.SettleGrace),
 		Autopilot: replication.AutopilotConfig{
-			HeartbeatPeriod: sim.Dur(cfg.Autopilot.HeartbeatPeriod.Nanoseconds()) * sim.Nanosecond,
-			SuspectTimeout:  sim.Dur(cfg.Autopilot.SuspectTimeout.Nanoseconds()) * sim.Nanosecond,
+			HeartbeatPeriod: simDur(cfg.Autopilot.HeartbeatPeriod),
+			SuspectTimeout:  simDur(cfg.Autopilot.SuspectTimeout),
 			AutoFailover:    cfg.Autopilot.AutoFailover,
 			AutoRepair:      cfg.Autopilot.AutoRepair,
 			Spares:          cfg.Autopilot.Spares,
 		},
 		Durability: replication.DurabilityConfig{
-			Dir:           cfg.Durability.Dir,
+			Dir:           dir,
 			SnapshotEvery: cfg.Durability.SnapshotEvery,
 			SyncEvery:     cfg.Durability.SyncEvery,
 		},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
+		return group{}, fmt.Errorf("repro: shard %d: %w", id, err)
 	}
-	return &Cluster{cfg: cfg, pair: pair, reg: reg}, nil
+	return group{Pair: pair, reg: reg}, nil
 }
 
-// Begin opens a transaction on the currently serving node. The transaction
-// holds the cluster's serialization until Commit or Abort.
-func (c *Cluster) Begin() (Tx, error) {
-	tx, err := c.group().Begin()
-	if err != nil {
-		return nil, mapErr(err)
-	}
-	return tx, nil
+// simDur converts a host duration to simulated time.
+func simDur(d time.Duration) sim.Dur { return sim.Dur(d.Nanoseconds()) * sim.Nanosecond }
+
+// Shards returns the replica-group slot count, drained tombstones included
+// (ids stay valid for Token and the Admin selectors).
+func (c *Cluster) Shards() int { return len(c.view.Load().groups) }
+
+// Safety returns the commit discipline every group was configured with.
+func (c *Cluster) Safety() Safety { return c.cfg.Safety }
+
+// ShardSize returns the per-group database size in bytes: DBSize for New.
+func (c *Cluster) ShardSize() int { return c.shardSize }
+
+// DBSize returns the configured total database size — the bound every
+// offset is validated against.
+func (c *Cluster) DBSize() int { return c.dbSize }
+
+// Capacity returns the allocated size across all groups: ShardSize times
+// Shards, at least DBSize (NewSharded rounds each group up to 4 KB; New's
+// one group is exactly DBSize).
+func (c *Cluster) Capacity() int { return c.shardSize * c.Shards() }
+
+// ShardFor returns the shard currently owning database offset off, per
+// the live placement table; the answer can change across a rebalance.
+func (c *Cluster) ShardFor(off int) int {
+	sh, _, _ := c.view.Load().table.Locate(off)
+	return sh
 }
 
-// Load installs initial database content without charging simulated time,
-// keeping the backup's copies in sync (the initial transfer that precedes
-// failure-free operation).
-func (c *Cluster) Load(off int, data []byte) error { return mapErr(c.group().Load(off, data)) }
-
-// Read performs a charged, non-transactional read on the serving node,
-// serialized with the cluster's transactions.
-func (c *Cluster) Read(off int, dst []byte) error { return mapErr(c.group().Read(off, dst)) }
-
-// ReadAt performs a charged read under opts' consistency discipline,
-// letting backups serve when the mode permits. The zero ReadOpts is
-// exactly Read. See the DB interface documentation for the modes.
-func (c *Cluster) ReadAt(off int, dst []byte, opts ReadOpts) (ReadResult, error) {
-	var minSeq uint64
-	if len(opts.Token) > 0 {
-		minSeq = opts.Token[0]
+// Committed returns the committed-transaction total across all groups,
+// as recorded in each serving node's reliable memory. Never blocks: the
+// per-group counts are atomic shadows.
+func (c *Cluster) Committed() uint64 {
+	var total uint64
+	for _, g := range c.view.Load().groups {
+		total += g.Committed()
 	}
-	return c.readAt(off, dst, opts, minSeq)
+	return total
 }
 
-// readAt is ReadAt with the shard-local token floor already extracted (a
-// ShardedCluster routes each sub-span here with its own element).
-func (c *Cluster) readAt(off int, dst []byte, opts ReadOpts, minSeq uint64) (ReadResult, error) {
-	if opts.Mode == ReadPrimary && opts.Replica == 0 {
-		// The zero-cost default: identical to Read.
-		if err := c.Read(off, dst); err != nil {
-			return ReadResult{}, err
-		}
-		seq := c.Committed()
-		return ReadResult{Replica: 0, Seq: seq, Primary: seq}, nil
-	}
-	res, err := c.group().RouteRead(off, dst, replication.ReadSpec{
-		Mode:    replication.ReadMode(opts.Mode),
-		MinSeq:  minSeq,
-		Bound:   opts.Bound,
-		Replica: opts.Replica,
-	})
-	if err != nil {
-		return ReadResult{}, mapErr(err)
-	}
-	return ReadResult{Replica: res.Replica, Seq: res.Seq, Primary: res.Primary, Repaired: res.Repaired}, nil
+// Stats reports transaction counters of the serving stores.
+type Stats struct {
+	Begins  int64
+	Commits int64
+	Aborts  int64
 }
 
-// Token appends nothing and fills dst (growing it as needed) with the
-// cluster's commit-sequence vector: the floor a ReadYourWrites read after
-// this instant must observe. Capture it after a Commit returns to make
-// that commit visible to the session's replica reads. Lock-free.
-func (c *Cluster) Token(dst Token) Token {
-	if cap(dst) < 1 {
-		dst = make(Token, 1)
+// Stats sums the serving stores' transaction counters. Never blocks: the
+// counters are atomic, safe to sample while transactions run.
+func (c *Cluster) Stats() Stats {
+	var out Stats
+	for _, g := range c.view.Load().groups {
+		s := g.Stats()
+		out.Begins += s.Begins
+		out.Commits += s.Commits
+		out.Aborts += s.Aborts
 	}
-	dst = dst[:1]
-	dst[0] = c.group().Committed()
-	return dst
+	return out
+}
+
+// NetTraffic returns the bytes shipped over every group's SAN since the
+// last measurement reset, by category. The counters are atomic: sampling
+// while transactions run is safe.
+func (c *Cluster) NetTraffic() Traffic {
+	var out Traffic
+	for _, g := range c.view.Load().groups {
+		n := g.NetBytes()
+		out.ModifiedBytes += n[mem.CatModified]
+		out.UndoBytes += n[mem.CatUndo]
+		out.MetaBytes += n[mem.CatMeta]
+		out.SyncBytes += n[mem.CatSync]
+		out.ControlBytes += n[mem.CatControl]
+	}
+	return out
+}
+
+// Elapsed returns the simulated time consumed since the deployment was
+// built (or since the last measurement reset): the slowest group's primary
+// clock. Groups run in parallel on disjoint hardware, so aggregate
+// throughput is total commits divided by this maximum — which is why it
+// grows with the group count. Never blocks.
+func (c *Cluster) Elapsed() time.Duration {
+	var latest sim.Time
+	for _, g := range c.view.Load().groups {
+		latest = max(latest, g.Elapsed())
+	}
+	return latest.Duration()
 }
 
 // ReplicaElapsed returns the longest simulated time any node — primary or
-// read-serving backup — has accumulated since ResetMeasurement. Replica
-// reads run on the backups' CPUs in parallel with the primary's commits,
-// so a read-scaled workload's wall time is this max, not Elapsed alone;
-// with no replica reads it equals Elapsed.
+// read-serving backup, in any group — has accumulated since
+// ResetMeasurement. Replica reads run on the backups' CPUs in parallel
+// with the primary's commits, so a read-scaled workload's wall time is
+// this max, not Elapsed alone; with no replica reads it equals Elapsed.
 func (c *Cluster) ReplicaElapsed() time.Duration {
-	return c.group().ReplicaElapsed().Duration()
-}
-
-// ReadRaw copies database bytes without charging simulated time,
-// serialized with the cluster's transactions. It panics if the span falls
-// outside the database — the DB contract, identical on both facades.
-func (c *Cluster) ReadRaw(off int, dst []byte) {
-	if off < 0 || off+len(dst) > c.DBSize() {
-		panic(fmt.Sprintf("repro: ReadRaw [%d,+%d) outside the database of %d bytes", off, len(dst), c.DBSize()))
+	var latest sim.Time
+	for _, g := range c.view.Load().groups {
+		latest = max(latest, g.ReplicaElapsed())
 	}
-	c.group().ReadRaw(off, dst)
+	return latest.Duration()
 }
 
-// DBSize returns the configured database size — the bound every offset is
-// validated against.
-func (c *Cluster) DBSize() int { return c.cfg.DBSize }
+// ResetMeasurement starts a fresh measured interval on every group
+// (statistics zeroed, cache and link state preserved) and zeroes the
+// deployment-level counters (placement gauges persist).
+func (c *Cluster) ResetMeasurement() {
+	for _, g := range c.view.Load().groups {
+		g.ResetMeasurement()
+	}
+	if c.reg != nil {
+		c.reg.Reset()
+	}
+}
 
-// Capacity returns the allocated size; on a Cluster it equals DBSize.
-func (c *Cluster) Capacity() int { return c.cfg.DBSize }
-
-// Shards returns 1: a Cluster is a single replica group.
-func (c *Cluster) Shards() int { return 1 }
-
-// Committed returns the number of committed transactions recorded in the
-// serving node's reliable memory. Never blocks: the count is an atomic
-// shadow, safe to sample while transactions run.
-func (c *Cluster) Committed() uint64 { return c.group().Committed() }
-
-// Flush seals and ships the open group-commit batch (see
+// Flush seals and ships every group's open group-commit batch (see
 // Config.CommitBatch); a no-op when group commit is off or nothing is
 // pending.
-func (c *Cluster) Flush() error { return c.group().Flush() }
-
-// Settle lets the cluster sit idle long enough for everything in flight to
-// drain: any open group-commit batch flushes, pending write buffers reach
-// every reachable backup, and an in-flight online repair keeps copying
-// through the quiet period. The quiesce duration is derived from the
-// platform constants (write-buffer drain age, posted-write window, link
-// latency) unless Config.SettleGrace overrides it. A crash after Settle
-// loses nothing; without it, a crash immediately after a commit may lose
-// that commit — the paper's 1-safe window.
-func (c *Cluster) Settle() { c.group().Settle(c.group().QuiesceGrace()) }
-
-// CrashPrimary kills the primary mid-flight: doubled stores still sitting
-// in its write buffers are lost (the paper's 1-safe vulnerability window);
-// packets already posted reach the backup. The optional selector is the
-// Admin surface's shard index (a Cluster is shard 0).
-func (c *Cluster) CrashPrimary(shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
+func (c *Cluster) Flush() error {
+	var firstErr error
+	for i, g := range c.view.Load().groups {
+		if err := g.Flush(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("repro: shard %d: %w", i, err)
+		}
 	}
-	return c.group().Crash()
+	return firstErr
 }
 
-// Failover performs takeover: the most-caught-up surviving backup recovers
-// from its replicated bytes and starts serving, with any remaining
-// survivors re-synced behind it (replication continues). Returns
-// ErrNoBackup on standalone clusters. The optional selector is the Admin
-// surface's shard index (a Cluster is shard 0).
-func (c *Cluster) Failover(shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
+// Settle lets the deployment sit idle long enough for everything in flight
+// to drain: any open group-commit batch flushes, pending write buffers
+// reach every reachable backup, an in-flight online repair keeps copying
+// through the quiet period, and an active rebalance gets a paced pump (so
+// single-stream drivers that settle between phases keep the mover
+// deterministic). The quiesce duration is derived from the platform
+// constants (write-buffer drain age, posted-write window, link latency)
+// unless Config.SettleGrace overrides it. A crash after Settle loses
+// nothing; without it, a crash immediately after a commit may lose that
+// commit — the paper's 1-safe window.
+func (c *Cluster) Settle() {
+	if c.migActive() {
+		c.pump(true, false)
 	}
-	if _, err := c.group().Failover(); err != nil {
-		if errors.Is(err, replication.ErrNoBackup) {
-			return ErrNoBackup
-		}
-		return fmt.Errorf("repro: failover: %w", err)
+	for _, g := range c.view.Load().groups {
+		g.Settle(g.QuiesceGrace())
 	}
-	return nil
 }
 
-// Repair restores redundancy and blocks until the cluster is back at its
-// configured replication degree: fresh backup nodes (and resumed,
-// partitioned ones) enroll behind the serving server through the same
-// incremental transfer RepairAsync uses, driven to completion before the
-// call returns. Concurrent transactions keep committing while it runs.
-// The optional selector is the Admin surface's shard index.
-func (c *Cluster) Repair(shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
+// Metrics is a point-in-time copy of the deployment's observability
+// registry: counters, gauges, latency histograms and the failure/repair
+// event ring, JSON-serializable for scrape surfaces. It is an alias of
+// the internal snapshot type, so values flow unchanged from DB.Metrics
+// through the kvwire METRICS opcode to the Prometheus text endpoint.
+type Metrics = obs.Snapshot
+
+// Metrics merges every group's observability snapshot plus the
+// deployment-level registry (rebalance instruments and placement events,
+// stamped shard -1): counters and gauges sum, same-name histograms merge
+// bucket-wise, and each group's events are stamped with its shard before
+// the timelines concatenate. The zero Snapshot with Config.Metrics off.
+// Never blocks the groups.
+func (c *Cluster) Metrics() Metrics {
+	var out Metrics
+	for i, g := range c.view.Load().groups {
+		out.Merge(stamped(g.reg, i))
 	}
-	// Repair rewires the group in place and returns the same pointer.
-	if _, err := c.group().Repair(); err != nil {
-		if errors.Is(err, replication.ErrNotRepairable) {
-			return ErrNotRepairable
-		}
-		return fmt.Errorf("repro: repair: %w", err)
+	if c.reg != nil {
+		out.Merge(stamped(c.reg, -1))
 	}
-	return nil
+	return out
 }
 
-// RepairAsync starts an online repair and returns immediately: resumed
-// (partitioned) backups re-enroll by shipping only the pages they missed,
-// crashed backups are replaced by fresh nodes receiving a full copy, and
-// the cluster heals back to its configured replication degree — all while
-// transactions keep committing. The chunked state transfer shares the SAN
-// with the live commit stream (throughput dips while it runs — the
-// availability timeline the paper measures) and advances with the commit
-// stream's simulated time; Settle lets it stream through idle periods.
-// Watch RepairProgress for completion; a joining backup starts counting
-// toward quorum at its cut-over.
-//
-// Returns ErrNotRepairable when there is nothing to repair. The optional
-// selector is the Admin surface's shard index.
-func (c *Cluster) RepairAsync(shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
+// stamped snapshots reg with every event attributed to shard.
+func stamped(reg *obs.Registry, shard int) Metrics {
+	snap := reg.Snapshot()
+	for j := range snap.Events {
+		snap.Events[j].Shard = shard
 	}
-	if err := c.group().RepairAsync(); err != nil {
-		if errors.Is(err, replication.ErrNotRepairable) {
-			return ErrNotRepairable
-		}
-		return fmt.Errorf("repro: repair: %w", err)
-	}
-	return nil
+	return snap
 }
 
 // RepairProgress reports the state of the current (or most recent) online
@@ -651,91 +783,13 @@ type RepairProgress struct {
 	Elapsed time.Duration
 }
 
-// RepairProgress returns the progress of the current or most recent
-// RepairAsync/Repair; the zero value is returned for an out-of-range
-// shard selector.
-func (c *Cluster) RepairProgress(shard ...int) RepairProgress {
-	if err := c.checkShard(shard); err != nil {
-		return RepairProgress{}
-	}
-	st := c.group().RepairStatus()
-	return RepairProgress{
-		Active:       st.Active,
-		Joining:      st.Joining,
-		Phase:        st.Phase,
-		BytesShipped: st.BytesShipped,
-		BytesPlanned: st.BytesPlanned,
-		Elapsed:      time.Duration(st.Elapsed.Nanoseconds()),
-	}
-}
-
-// Safety returns the commit discipline the cluster was configured with.
-func (c *Cluster) Safety() Safety { return c.cfg.Safety }
-
-// Backups returns the current number of backup nodes; zero for an
-// out-of-range shard selector.
-func (c *Cluster) Backups(shard ...int) int {
-	if err := c.checkShard(shard); err != nil {
-		return 0
-	}
-	return c.group().Backups()
-}
-
-// Generation returns how many failovers (manual or unattended) the cluster
-// has completed.
-func (c *Cluster) Generation() int { return c.group().Generation() }
-
-// AddShards is the elastic surface on a non-elastic deployment: a single
-// Cluster is one replica group and cannot change its topology.
-func (c *Cluster) AddShards(n int) ([]int, error) { return nil, ErrNotElastic }
-
-// RemoveShard always returns ErrNotElastic: see AddShards.
-func (c *Cluster) RemoveShard(shard int) error { return ErrNotElastic }
-
-// Rebalance always returns ErrNotElastic: see AddShards.
-func (c *Cluster) Rebalance() error { return ErrNotElastic }
-
-// RebalanceAsync always returns ErrNotElastic: see AddShards.
-func (c *Cluster) RebalanceAsync() error { return ErrNotElastic }
-
-// RebalanceProgress returns the zero value: a Cluster never rebalances.
-func (c *Cluster) RebalanceProgress() RebalanceProgress { return RebalanceProgress{} }
-
-// PlacementEpoch returns 1: a Cluster's placement is its construction-time
-// layout forever (the degenerate single-epoch ring).
-func (c *Cluster) PlacementEpoch() uint64 { return 1 }
-
-// simNow, transferRate, shipBulk and crashed are the hooks the sharded
-// facade's range mover drives a member cluster through: the simulated
-// time base and repair-share bandwidth that pace a bulk copy, the SAN
-// charge for shipped bytes, and the liveness probe that parks a move
-// until failover.
-func (c *Cluster) simNow() sim.Time      { return c.group().Now() }
-func (c *Cluster) transferRate() float64 { return c.group().TransferRate() }
-func (c *Cluster) shipBulk(n int)        { c.group().ShipBulk(n) }
-func (c *Cluster) crashed() bool         { return c.group().Crashed() }
-
-// PartitionPrimary severs the serving primary from the SAN without killing
-// it: heartbeats stop, its lease stops renewing, and every backup is
-// partitioned away. With Autopilot enabled the deposed primary refuses new
-// commits once its lease runs out (ErrLeaseExpired), and with AutoFailover
-// the surviving majority promotes a replacement no earlier than that same
-// instant — the no-split-brain demonstration.
-// The optional selector is the Admin surface's shard index.
-func (c *Cluster) PartitionPrimary(shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	return c.group().PartitionPrimary()
-}
-
 // FailureEvent is the recorded timeline of one fault the autopilot
 // handled. Zero-valued stamps mean "has not happened".
 type FailureEvent struct {
 	// Kind is "primary" or "backup"; Node names the failed machine.
 	Kind string
 	Node string
-	// Shard is the owning shard on a sharded cluster (0 otherwise).
+	// Shard is the owning replica group's shard index.
 	Shard int
 	// The per-event timeline, in cumulative simulated time: when the
 	// fault was injected, when the detector declared the node dead, when
@@ -775,108 +829,180 @@ func (e FailureEvent) MTTR() time.Duration {
 	return e.RestoredAt - e.FailedAt
 }
 
-// AutopilotEnabled reports whether the unattended failure loop is on.
-func (c *Cluster) AutopilotEnabled() bool { return c.group().Autopilot().Enabled }
+// shard resolves the Admin surface's optional trailing selector: no
+// argument targets shard 0, one argument targets that shard; more than one
+// argument, or an index outside 0..Shards()-1, is ErrNoSuchShard.
+func (c *Cluster) shard(sel []int) (group, error) {
+	i := 0
+	switch len(sel) {
+	case 0:
+	case 1:
+		i = sel[0]
+	default:
+		return group{}, ErrNoSuchShard
+	}
+	gs := c.view.Load().groups
+	if i < 0 || i >= len(gs) {
+		return group{}, ErrNoSuchShard
+	}
+	return gs[i], nil
+}
 
-// AutopilotEvents returns the fault timeline the autopilot recorded: one
-// event per detected failure, carrying the MTTD/MTTR stamps the chaos
-// harness aggregates. Empty with Autopilot off.
+// onShard runs op on the selected group.
+func (c *Cluster) onShard(sel []int, op func(*replication.Pair) error) error {
+	g, err := c.shard(sel)
+	if err != nil {
+		return err
+	}
+	return op(g.Pair)
+}
+
+// CrashPrimary kills the selected shard's primary mid-flight: doubled
+// stores still sitting in its write buffers are lost (the paper's 1-safe
+// vulnerability window); packets already posted reach the backups. The
+// other groups keep serving.
+func (c *Cluster) CrashPrimary(shard ...int) error {
+	return c.onShard(shard, (*replication.Pair).Crash)
+}
+
+// PartitionPrimary severs the selected shard's serving primary from the
+// SAN without killing it: heartbeats stop, its lease stops renewing, and
+// every backup is partitioned away. With Autopilot enabled the deposed
+// primary refuses new commits once its lease runs out (ErrLeaseExpired),
+// and with AutoFailover the surviving majority promotes a replacement no
+// earlier than that same instant — the no-split-brain demonstration.
+func (c *Cluster) PartitionPrimary(shard ...int) error {
+	return c.onShard(shard, (*replication.Pair).PartitionPrimary)
+}
+
+// Failover performs takeover on the selected shard: the most-caught-up
+// surviving backup recovers from its replicated bytes and starts serving,
+// with any remaining survivors re-synced behind it (replication
+// continues). Returns ErrNoBackup when no survivor exists.
+func (c *Cluster) Failover(shard ...int) error {
+	return c.onShard(shard, func(g *replication.Pair) error {
+		_, err := g.Failover()
+		return adminErr("failover", err)
+	})
+}
+
+// Repair restores the selected shard to its configured replication degree
+// and blocks until it is back: fresh backup nodes (and resumed,
+// partitioned ones) enroll behind the serving server through the same
+// incremental transfer RepairAsync uses, driven to completion before the
+// call returns. Transactions — on this group and every other — keep
+// committing while it runs. ErrNotRepairable when there is nothing to
+// repair.
+func (c *Cluster) Repair(shard ...int) error {
+	return c.onShard(shard, func(g *replication.Pair) error {
+		_, err := g.Repair()
+		return adminErr("repair", err)
+	})
+}
+
+// RepairAsync starts an online repair of the selected shard and returns
+// immediately: resumed (partitioned) backups re-enroll by shipping only the
+// pages they missed, crashed backups are replaced by fresh nodes receiving
+// a full copy, and the group heals back to its configured replication
+// degree — all while transactions keep committing. The chunked state
+// transfer shares the SAN with the live commit stream (throughput dips
+// while it runs — the availability timeline the paper measures) and
+// advances with the commit stream's simulated time; Settle lets it stream
+// through idle periods. Watch RepairProgress for completion; a joining
+// backup starts counting toward quorum at its cut-over. ErrNotRepairable
+// when there is nothing to repair.
+func (c *Cluster) RepairAsync(shard ...int) error {
+	return c.onShard(shard, func(g *replication.Pair) error {
+		return adminErr("repair", g.RepairAsync())
+	})
+}
+
+// RepairProgress returns the progress of the selected shard's current or
+// most recent RepairAsync/Repair; the zero value for an out-of-range
+// selector.
+func (c *Cluster) RepairProgress(shard ...int) RepairProgress {
+	g, err := c.shard(shard)
+	if err != nil {
+		return RepairProgress{}
+	}
+	st := g.RepairStatus()
+	return RepairProgress{
+		Active:       st.Active,
+		Joining:      st.Joining,
+		Phase:        st.Phase,
+		BytesShipped: st.BytesShipped,
+		BytesPlanned: st.BytesPlanned,
+		Elapsed:      time.Duration(st.Elapsed.Nanoseconds()),
+	}
+}
+
+// CrashBackup kills backup i of the selected shard: it stops receiving and
+// acknowledging and is never promoted. With QuorumSafe, acked commits
+// survive the loss of the primary plus any minority of the backups.
+func (c *Cluster) CrashBackup(i int, shard ...int) error {
+	return c.onShard(shard, func(g *replication.Pair) error { return g.CrashBackup(i) })
+}
+
+// PauseBackup partitions backup i of the selected shard away from its SAN;
+// after ResumeBackup it rejoins through RepairAsync/Repair, which ships
+// only the pages it missed (or nothing at all when nothing committed while
+// it was away).
+func (c *Cluster) PauseBackup(i int, shard ...int) error {
+	return c.onShard(shard, func(g *replication.Pair) error { return g.PauseBackup(i) })
+}
+
+// ResumeBackup reconnects a paused backup of the selected shard. It stays
+// gated — excluded from acknowledgement — until RepairAsync or Repair
+// re-enrolls it.
+func (c *Cluster) ResumeBackup(i int, shard ...int) error {
+	return c.onShard(shard, func(g *replication.Pair) error { return g.ResumeBackup(i) })
+}
+
+// Backups returns the selected shard's current number of backup nodes;
+// zero for an out-of-range selector.
+func (c *Cluster) Backups(shard ...int) int {
+	g, err := c.shard(shard)
+	if err != nil {
+		return 0
+	}
+	return g.Backups()
+}
+
+// Generation returns how many failovers (manual or unattended) the
+// selected shard has completed; zero for an out-of-range selector.
+func (c *Cluster) Generation(shard ...int) int {
+	g, err := c.shard(shard)
+	if err != nil {
+		return 0
+	}
+	return g.Generation()
+}
+
+// AutopilotEnabled reports whether the unattended failure loop is on
+// (configured uniformly across groups).
+func (c *Cluster) AutopilotEnabled() bool {
+	return c.view.Load().groups[0].Autopilot().Enabled
+}
+
+// AutopilotEvents returns the fault timeline every group's autopilot
+// recorded — one event per detected failure, stamped with its owning shard
+// and carrying the MTTD/MTTR stamps the chaos harness aggregates. Empty
+// with Autopilot off.
 func (c *Cluster) AutopilotEvents() []FailureEvent {
-	evs := c.group().AutopilotEvents()
-	out := make([]FailureEvent, 0, len(evs))
-	for _, e := range evs {
-		out = append(out, FailureEvent{
-			Kind:            e.Kind,
-			Node:            e.Node,
-			FailedAt:        e.FailedAt.Duration(),
-			DetectedAt:      e.DetectedAt.Duration(),
-			FailedOverAt:    e.FailedOverAt.Duration(),
-			RepairStartedAt: e.RepairStartedAt.Duration(),
-			RestoredAt:      e.RestoredAt.Duration(),
-		})
+	var out []FailureEvent
+	for i, g := range c.view.Load().groups {
+		for _, e := range g.AutopilotEvents() {
+			out = append(out, FailureEvent{
+				Kind:            e.Kind,
+				Node:            e.Node,
+				Shard:           i,
+				FailedAt:        e.FailedAt.Duration(),
+				DetectedAt:      e.DetectedAt.Duration(),
+				FailedOverAt:    e.FailedOverAt.Duration(),
+				RepairStartedAt: e.RepairStartedAt.Duration(),
+				RestoredAt:      e.RestoredAt.Duration(),
+			})
+		}
 	}
 	return out
-}
-
-// CrashBackup kills backup i: it stops receiving and acknowledging and is
-// never promoted. With QuorumSafe, acked commits survive the loss of the
-// primary plus any minority of the backups. The optional selector is the
-// Admin surface's shard index.
-func (c *Cluster) CrashBackup(i int, shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	return c.group().CrashBackup(i)
-}
-
-// PauseBackup partitions backup i away from the cluster; after
-// ResumeBackup it rejoins through RepairAsync/Repair, which ships only the
-// pages it missed (or nothing at all when nothing committed while it was
-// away). The optional selector is the Admin surface's shard index.
-func (c *Cluster) PauseBackup(i int, shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	return c.group().PauseBackup(i)
-}
-
-// ResumeBackup reconnects a paused backup. It stays gated — excluded from
-// acknowledgement — until RepairAsync or Repair re-enrolls it. The
-// optional selector is the Admin surface's shard index.
-func (c *Cluster) ResumeBackup(i int, shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	return c.group().ResumeBackup(i)
-}
-
-// Elapsed returns the simulated time consumed on the primary since the
-// cluster was built (or since the last measurement reset). Never blocks:
-// the serving clock is sampled atomically.
-func (c *Cluster) Elapsed() time.Duration { return c.group().Elapsed().Duration() }
-
-// ResetMeasurement starts a fresh measured interval (statistics zeroed,
-// cache and link state preserved).
-func (c *Cluster) ResetMeasurement() { c.group().ResetMeasurement() }
-
-// NetTraffic returns the bytes shipped to the backup since the last
-// measurement reset, in the paper's three categories. The counters are
-// atomic: sampling while transactions run is safe.
-func (c *Cluster) NetTraffic() Traffic {
-	n := c.group().NetBytes()
-	return Traffic{
-		ModifiedBytes: n[mem.CatModified],
-		UndoBytes:     n[mem.CatUndo],
-		MetaBytes:     n[mem.CatMeta],
-		SyncBytes:     n[mem.CatSync],
-		ControlBytes:  n[mem.CatControl],
-	}
-}
-
-// Stats reports transaction counters of the serving store.
-type Stats struct {
-	Begins  int64
-	Commits int64
-	Aborts  int64
-}
-
-// Stats returns the serving store's transaction counters. Never blocks:
-// the counters are atomic, safe to sample while transactions run.
-func (c *Cluster) Stats() Stats {
-	s := c.group().Stats()
-	return Stats{Begins: s.Begins, Commits: s.Commits, Aborts: s.Aborts}
-}
-
-// Metrics is a point-in-time copy of the deployment's observability
-// registry: counters, gauges, latency histograms and the failure/repair
-// event ring, JSON-serializable for scrape surfaces. It is an alias of
-// the internal snapshot type, so values flow unchanged from DB.Metrics
-// through the kvwire METRICS opcode to the Prometheus text endpoint.
-type Metrics = obs.Snapshot
-
-// Metrics snapshots the deployment's observability registry: the zero
-// Snapshot with Config.Metrics off. Safe to call while transactions run;
-// counters and histograms are read atomically.
-func (c *Cluster) Metrics() Metrics {
-	return c.reg.Snapshot()
 }

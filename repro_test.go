@@ -122,13 +122,19 @@ func TestSettledFailoverKeepsEverything(t *testing.T) {
 func TestCrashErrorFlow(t *testing.T) {
 	c := newCluster(t, repro.V3InlineLog, repro.PassiveBackup)
 	must(t, c.CrashPrimary())
-	if _, err := c.Begin(); !errors.Is(err, repro.ErrCrashed) {
-		t.Fatalf("Begin after crash: %v", err)
+	tx, err := c.Begin()
+	must(t, err)
+	if err := tx.SetRange(0, 8); !errors.Is(err, repro.ErrCrashed) {
+		t.Fatalf("first touch after crash: %v", err)
 	}
+	_ = tx.Abort()
 	must(t, c.Failover())
-	if _, err := c.Begin(); err != nil {
-		t.Fatalf("Begin after failover: %v", err)
+	tx, err = c.Begin()
+	must(t, err)
+	if err := tx.SetRange(0, 8); err != nil {
+		t.Fatalf("first touch after failover: %v", err)
 	}
+	must(t, tx.Abort())
 }
 
 func TestStandaloneFailoverRejected(t *testing.T) {

@@ -1,373 +1,216 @@
 package repro
 
+// This file is the placement-routed data plane: every read, load and
+// transactional operation resolves its span through the live placement
+// table and calls the owning replica group directly. The one-group
+// deployment takes the same path — its table is the single range
+// [0, DBSize) — so there is one routing rule, not a fast path and a slow
+// one.
+
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/obs"
-	"repro/internal/placement"
+	"repro/internal/replication"
 )
 
-// ShardedCluster stripes a database across N independent replica groups.
-// At construction shard i owns database offsets [i*ShardSize,
-// (i+1)*ShardSize); the deployment is elastic, so AddShards + Rebalance
-// (or RemoveShard) later re-home partition-aligned ranges onto other
-// groups while the deployment serves — see rebalance.go. Each shard is a
-// full Cluster — its own primary, backups, SAN link and simulated clocks
-// — so the shards progress in parallel and aggregate throughput scales
-// with the shard count (the ROADMAP's sharding lever).
-//
-// Operations are routed by offset through a versioned placement table
-// (internal/placement): readers load the current table through an atomic
-// pointer — no locks on the hot path — and a rebalance publishes a new
-// version only at each range's cut-over. Ranges spanning an ownership
-// boundary are split. A transaction that touches several shards commits
-// on each touched shard independently, in shard order — there is no
-// cross-shard atomic commit (the paper's API leaves concurrency control,
-// and a fortiori distributed commit, to a separate layer); a mid-commit
-// failure surfaces as a *PartialCommitError naming the shards that did
-// and did not commit.
-//
-// # Concurrency
-//
-// A ShardedCluster may be driven from many goroutines at once: each shard
-// serializes its own transactions on its per-shard lock, and transactions
-// on different shards run genuinely in parallel — wall-clock throughput
-// scales with min(shards, GOMAXPROCS). A sharded transaction holds every
-// shard it has touched until Commit/Abort, acquiring shards in the order
-// it first touches them; concurrent multi-shard transactions must touch
-// shards in a consistent (ascending) order or risk deadlock, exactly like
-// any ordered-locking scheme. Aggregate readers (Stats, Committed,
-// NetTraffic, Elapsed) sample atomic counters and never block the shards.
-type ShardedCluster struct {
-	cfg       Config
-	shardSize int
-	dbSize    int
-
-	// view is the atomically published routing state: the shard list and
-	// the placement table, swapped together so a reader's (shards, table)
-	// pair is always consistent. Hot paths load it once per span and
-	// compare table pointers — not epochs — to detect a cut-over that
-	// raced their shard acquisition.
-	view atomic.Pointer[placeView]
-
-	// admin serializes topology mutation (AddShards, RemoveShard, the
-	// planning half of Rebalance) and guards layout + pending.
-	admin   sync.Mutex
-	layout  *placement.Layout
-	pending []int // shards added since the last rebalance plan
-
-	// mig is the range mover's state; see rebalance.go.
-	mig migState
-
-	// finishing counts sharded transactions inside finish(): between
-	// releasing their per-shard transactions and publishing their dirty
-	// marks. The cut-over barrier spin-waits it to zero after taking the
-	// source's transaction slot, closing the release-before-mark window.
-	finishing atomic.Int64
-
-	// reg is the deployment-level metrics registry (rebalance
-	// instruments and ring events live here; per-shard registries hang
-	// off the member clusters). Nil with Config.Metrics off.
-	reg     *obs.Registry
-	mRanges *obs.Counter
-	mBytes  *obs.Counter
-	mStalls *obs.Counter
-	mEpoch  *obs.Gauge
-
-	// txPool recycles shardedTx values (with their per-shard open tables)
-	// across Begin/Commit cycles so the steady-state transaction path
-	// allocates nothing. The usual pool hazard applies: a Tx must not be
-	// used after Commit/Abort.
-	txPool sync.Pool
-}
-
-// placeView is one immutable routing snapshot: the shard list (tombstoned
-// slots included, so shard ids index it forever) plus the placement table
-// mapping global offsets onto it.
-type placeView struct {
-	shards []*Cluster
-	table  *placement.Table
-}
-
-// v returns the current routing snapshot.
-func (s *ShardedCluster) v() *placeView { return s.view.Load() }
-
-// shardAlign keeps shard sizes page-friendly.
-const shardAlign = 4096
-
-// NewSharded builds a cluster of shards independent replica groups, each
-// configured per cfg with a DBSize slice of the total. cfg.DBSize is the
-// total database size across all shards; the per-shard slice is rounded up
-// to a 4 KB multiple, so the deployment's Capacity may exceed DBSize —
-// offsets are validated against the configured DBSize, and the rounding
-// tail of the last shard is unused.
-func NewSharded(cfg Config, shards int) (*ShardedCluster, error) {
-	if shards < 1 {
-		return nil, ErrShardCount
-	}
-	if cfg.DBSize <= 0 {
-		return nil, fmt.Errorf("repro: invalid database size %d", cfg.DBSize)
-	}
-	size := (cfg.DBSize + shards - 1) / shards
-	size = (size + shardAlign - 1) &^ (shardAlign - 1)
-	sc := &ShardedCluster{cfg: cfg, shardSize: size, dbSize: cfg.DBSize}
-	list := make([]*Cluster, 0, shards)
-	for i := 0; i < shards; i++ {
-		c, err := sc.newShard(i)
-		if err != nil {
-			return nil, err
-		}
-		list = append(list, c)
-	}
-	sc.layout = placement.NewLayout(shards, size, 0)
-	sc.view.Store(&placeView{shards: list, table: sc.layout.Compile(1)})
-	sc.mig.curFrom.Store(-1)
-	sc.mig.curTo.Store(-1)
-	if cfg.Metrics {
-		sc.reg = obs.NewRegistry()
-		sc.mRanges = sc.reg.Counter("place.ranges_moved")
-		sc.mBytes = sc.reg.Counter("place.bytes_shipped")
-		sc.mStalls = sc.reg.Counter("place.cutover_stalls")
-		sc.mEpoch = sc.reg.Gauge("place.epoch")
-		sc.mEpoch.Set(1)
-	}
-	sc.txPool.New = func() any {
-		return &shardedTx{s: sc, open: make([]Tx, shards)}
-	}
-	return sc, nil
-}
-
-// newShard builds member cluster id from the deployment's template
-// configuration (shared by construction and AddShards).
-func (s *ShardedCluster) newShard(id int) (*Cluster, error) {
-	scfg := s.cfg
-	scfg.DBSize = s.shardSize
-	if s.cfg.Durability.Enabled() {
-		scfg.Durability.Dir = shardDurabilityDir(s.cfg.Durability.Dir, id)
-	}
-	c, err := New(scfg)
-	if err != nil {
-		return nil, fmt.Errorf("repro: shard %d: %w", id, err)
-	}
-	return c, nil
-}
-
-// Shards returns the shard slot count, drained tombstones included (ids
-// stay valid for Token and the Admin selectors).
-func (s *ShardedCluster) Shards() int { return len(s.v().shards) }
-
-// Safety returns the commit discipline every shard was configured with.
-func (s *ShardedCluster) Safety() Safety { return s.cfg.Safety }
-
-// ShardSize returns the per-shard database size in bytes.
-func (s *ShardedCluster) ShardSize() int { return s.shardSize }
-
-// DBSize returns the configured total database size — the bound all
-// offsets are validated against.
-func (s *ShardedCluster) DBSize() int { return s.dbSize }
-
-// Capacity returns the allocated size across all shards: ShardSize times
-// Shards, at least DBSize (per-shard sizes are rounded up to 4 KB).
-func (s *ShardedCluster) Capacity() int { return s.shardSize * len(s.v().shards) }
-
-// ShardFor returns the shard currently owning database offset off, per
-// the live placement table; the answer can change across a rebalance.
-func (s *ShardedCluster) ShardFor(off int) int {
-	sh, _, _ := s.v().table.Locate(off)
-	return sh
-}
-
-// Shard exposes one shard's cluster (crash injection, traffic inspection,
-// or single-shard transaction streams that skip the routing layer).
-func (s *ShardedCluster) Shard(i int) *Cluster {
-	v := s.v()
-	if i < 0 || i >= len(v.shards) {
-		return nil
-	}
-	return v.shards[i]
-}
-
 // checkRange validates [off, off+n) against the configured database size.
-// The returned error wraps ErrBounds — the same sentinel a Cluster's
-// out-of-range accesses return, keeping the two facades' error taxonomy
-// identical.
-func (s *ShardedCluster) checkRange(off, n int) error {
-	if off < 0 || n < 0 || off+n > s.dbSize {
-		return fmt.Errorf("repro: range [%d,+%d) outside the sharded database of %d bytes: %w", off, n, s.dbSize, ErrBounds)
+// The returned error wraps ErrBounds.
+func (c *Cluster) checkRange(off, n int) error {
+	if off < 0 || n < 0 || off+n > c.dbSize {
+		return fmt.Errorf("repro: range [%d,+%d) outside the database of %d bytes: %w", off, n, c.dbSize, ErrBounds)
 	}
 	return nil
 }
 
-// checkShard validates the Admin surface's optional shard selector
-// against the shard count, defaulting to shard 0.
-func (s *ShardedCluster) checkShard(shard []int) (int, error) {
-	i, err := shardArg(shard)
-	if err != nil {
-		return 0, err
-	}
-	if i < 0 || i >= len(s.v().shards) {
-		return 0, ErrNoSuchShard
-	}
-	return i, nil
-}
-
-// split walks [off, off+n) ownership run by ownership run under one
-// routing snapshot.
-func (s *ShardedCluster) split(v *placeView, off, n int, f func(shard, shardOff, n int) error) error {
-	for n > 0 {
-		i, so, run := v.table.Locate(off)
-		cnt := run
-		if cnt > n {
-			cnt = n
-		}
-		if err := f(i, so, cnt); err != nil {
-			return err
-		}
-		off += cnt
-		n -= cnt
-	}
-	return nil
-}
-
-// Load installs initial content across the owning shards. Loads landing
-// on a range mid-migration are marked dirty for the delta resync; a load
-// that raced a cut-over redoes itself against the new table (raw installs
-// are idempotent), so the flipped-to shard never misses the bytes.
-func (s *ShardedCluster) Load(off int, data []byte) error {
-	if err := s.checkRange(off, len(data)); err != nil {
+// Load installs initial content without charging simulated time, keeping
+// every replica's copy in sync (the initial transfer that precedes
+// failure-free operation). Loads landing on a range mid-migration are
+// marked dirty for the delta resync; a load that raced a cut-over redoes
+// itself against the new table (raw installs are idempotent), so the
+// flipped-to group never misses the bytes.
+func (c *Cluster) Load(off int, data []byte) error {
+	if err := c.checkRange(off, len(data)); err != nil {
 		return err
 	}
 	for {
-		v := s.v()
-		pos := 0
-		err := s.split(v, off, len(data), func(i, so, n int) error {
-			err := v.shards[i].Load(so, data[pos:pos+n])
+		v := c.view.Load()
+		for pos := 0; pos < len(data); {
+			i, so, run := v.table.Locate(off + pos)
+			n := min(run, len(data)-pos)
+			if err := v.groups[i].Load(so, data[pos:pos+n]); err != nil {
+				return err
+			}
 			pos += n
-			return err
-		})
-		if err != nil {
-			return err
 		}
-		s.markDirty(off, len(data))
-		if s.v().table == v.table {
+		c.markDirty(off, len(data))
+		if c.view.Load().table == v.table {
 			return nil
 		}
 	}
 }
 
-// Read performs a charged read across the owning shards. A read that
-// raced a cut-over retries whole against the new table, so one call never
-// mixes two placement epochs.
-func (s *ShardedCluster) Read(off int, dst []byte) error {
-	if err := s.checkRange(off, len(dst)); err != nil {
+// Read performs a charged, non-transactional read on the serving nodes of
+// the owning groups, serialized with each group's transactions. A read
+// that raced a cut-over retries whole against the new table, so one call
+// never mixes two placement epochs.
+func (c *Cluster) Read(off int, dst []byte) error {
+	if err := c.checkRange(off, len(dst)); err != nil {
 		return err
 	}
 	for {
-		v := s.v()
-		pos := 0
-		err := s.split(v, off, len(dst), func(i, so, n int) error {
-			err := v.shards[i].Read(so, dst[pos:pos+n])
+		v := c.view.Load()
+		for pos := 0; pos < len(dst); {
+			i, so, run := v.table.Locate(off + pos)
+			n := min(run, len(dst)-pos)
+			if err := v.groups[i].Read(so, dst[pos:pos+n]); err != nil {
+				return err
+			}
 			pos += n
-			return err
-		})
-		if err != nil {
-			return err
 		}
-		if s.v().table == v.table {
+		if c.view.Load().table == v.table {
 			return nil
 		}
 	}
 }
 
-// ReadAt performs a charged read across the owning shards under opts'
-// consistency discipline. Each sub-span is routed on its own shard with
-// that shard's token element as the floor (a token shorter than the shard
-// count leaves the missing shards unconstrained, so any token — including
-// one minted before a rebalance grew the deployment — is valid on any
-// shard). The result reports the last sub-span's server; when
-// ReadOpts.Replica pins a backup index, the pin applies on every shard.
-func (s *ShardedCluster) ReadAt(off int, dst []byte, opts ReadOpts) (ReadResult, error) {
-	if err := s.checkRange(off, len(dst)); err != nil {
+// ReadAt performs a charged read under opts' consistency discipline,
+// letting backups serve when the mode permits; the zero ReadOpts is
+// exactly Read. Each sub-span is routed on its own group with that shard's
+// token element as the floor (a token shorter than the shard count leaves
+// the missing shards unconstrained, so any token — including one minted
+// before a rebalance grew the deployment — is valid on any shard). The
+// result reports the last sub-span's server; when ReadOpts.Replica pins a
+// backup index, the pin applies on every group.
+func (c *Cluster) ReadAt(off int, dst []byte, opts ReadOpts) (ReadResult, error) {
+	if err := c.checkRange(off, len(dst)); err != nil {
 		return ReadResult{}, err
 	}
 	for {
 		var res ReadResult
-		v := s.v()
-		pos := 0
-		err := s.split(v, off, len(dst), func(i, so, n int) error {
+		v := c.view.Load()
+		for pos := 0; pos < len(dst); {
+			i, so, run := v.table.Locate(off + pos)
+			n := min(run, len(dst)-pos)
 			var minSeq uint64
 			if i < len(opts.Token) {
 				minSeq = opts.Token[i]
 			}
-			r, err := v.shards[i].readAt(so, dst[pos:pos+n], opts, minSeq)
-			pos += n
+			r, err := readAt(v.groups[i].Pair, so, dst[pos:pos+n], opts, minSeq)
 			if err != nil {
-				return err
+				return ReadResult{}, err
 			}
 			res = r
-			return nil
-		})
-		if err != nil {
-			return res, err
+			pos += n
 		}
-		if s.v().table == v.table {
+		if c.view.Load().table == v.table {
 			return res, nil
 		}
 	}
 }
 
-// Token fills dst (growing it as needed) with the per-shard commit-
-// sequence vector: element i is shard i's committed counter. Lock-free.
-// After AddShards the vector grows; earlier (shorter) tokens stay valid —
-// the missing shards are simply unconstrained.
-func (s *ShardedCluster) Token(dst Token) Token {
-	v := s.v()
-	n := len(v.shards)
-	if cap(dst) < n {
-		dst = make(Token, n)
+// readAt serves one group-local span of a ReadAt.
+func readAt(g *replication.Pair, off int, dst []byte, opts ReadOpts, minSeq uint64) (ReadResult, error) {
+	if opts.Mode == ReadPrimary && opts.Replica == 0 {
+		// The zero-cost default: identical to Read.
+		if err := g.Read(off, dst); err != nil {
+			return ReadResult{}, err
+		}
+		seq := g.Committed()
+		return ReadResult{Seq: seq, Primary: seq}, nil
 	}
-	dst = dst[:n]
-	for i, c := range v.shards {
-		dst[i] = c.Committed()
+	res, err := g.RouteRead(off, dst, replication.ReadSpec{
+		Mode:    replication.ReadMode(opts.Mode),
+		MinSeq:  minSeq,
+		Bound:   opts.Bound,
+		Replica: opts.Replica,
+	})
+	if err != nil {
+		return ReadResult{}, err
+	}
+	return ReadResult{Replica: res.Replica, Seq: res.Seq, Primary: res.Primary, Repaired: res.Repaired}, nil
+}
+
+// Token fills dst (growing it as needed) with the per-shard commit-
+// sequence vector: element i is shard i's committed counter, the floor a
+// ReadYourWrites read after this instant must observe. Capture it after a
+// Commit returns to make that commit visible to the session's replica
+// reads. Lock-free. After AddShards the vector grows; earlier (shorter)
+// tokens stay valid — the missing shards are simply unconstrained.
+func (c *Cluster) Token(dst Token) Token {
+	gs := c.view.Load().groups
+	if cap(dst) < len(gs) {
+		dst = make(Token, len(gs))
+	}
+	dst = dst[:len(gs)]
+	for i, g := range gs {
+		dst[i] = g.Committed()
 	}
 	return dst
 }
 
-// ReadRaw copies database bytes without charging simulated time. It
-// panics if the span falls outside the database — the DB contract,
-// identical on both facades (an out-of-range span used to no-op
-// silently here, diverging from Cluster.ReadRaw).
-func (s *ShardedCluster) ReadRaw(off int, dst []byte) {
-	if off < 0 || off+len(dst) > s.dbSize {
-		panic(fmt.Sprintf("repro: ReadRaw [%d,+%d) outside the database of %d bytes", off, len(dst), s.dbSize))
+// ReadRaw copies database bytes without charging simulated time,
+// serialized with each group's transactions. It panics if the span falls
+// outside the database — the DB contract.
+func (c *Cluster) ReadRaw(off int, dst []byte) {
+	if off < 0 || off+len(dst) > c.dbSize {
+		panic(fmt.Sprintf("repro: ReadRaw [%d,+%d) outside the database of %d bytes", off, len(dst), c.dbSize))
 	}
 	for {
-		v := s.v()
-		pos := 0
-		_ = s.split(v, off, len(dst), func(i, so, n int) error {
-			v.shards[i].ReadRaw(so, dst[pos:pos+n])
+		v := c.view.Load()
+		for pos := 0; pos < len(dst); {
+			i, so, run := v.table.Locate(off + pos)
+			n := min(run, len(dst)-pos)
+			v.groups[i].ReadRaw(so, dst[pos:pos+n])
 			pos += n
-			return nil
-		})
-		if s.v().table == v.table {
+		}
+		if c.view.Load().table == v.table {
 			return
 		}
 	}
 }
 
-// Begin opens a sharded transaction: per-shard transactions open lazily on
-// first touch — taking that shard's lock until the sharded transaction
-// completes — and all touched shards commit (or abort) together, though
-// not atomically across shards. The returned handle is recycled after
-// Commit/Abort and must not be used past that point.
-func (s *ShardedCluster) Begin() (Tx, error) {
-	t := s.txPool.Get().(*shardedTx)
+// Begin opens a transaction. Each group is admitted lazily, on the
+// transaction's first touch of it — that is when the group's lock is taken
+// (held until Commit/Abort) and when a refusal (ErrCrashed,
+// ErrSafetyUnavailable, ErrLeaseExpired) surfaces. All touched groups
+// commit (or abort) together, though not atomically across groups. The
+// returned handle is recycled after Commit/Abort and must not be used past
+// that point.
+func (c *Cluster) Begin() (Tx, error) {
+	t := c.txPool.Get().(*tx)
 	t.done = false
 	return t, nil
+}
+
+// BeginShard opens a transaction directly on replica group shard, in that
+// group's own offsets [0, ShardSize()) — the per-group stream of a
+// partitioned driver (tpc.RunSharded). It bypasses placement and the range
+// mover's dirty tracking, so it refuses with ErrRebalanceActive while a
+// rebalance is moving ranges.
+func (c *Cluster) BeginShard(shard int) (Tx, error) {
+	if c.migActive() {
+		return nil, ErrRebalanceActive
+	}
+	g, err := c.shard([]int{shard})
+	if err != nil {
+		return nil, err
+	}
+	h, err := g.Begin()
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// LoadShard installs initial content on replica group shard at
+// group-local offsets, like Load but bypassing placement (see BeginShard,
+// whose ErrRebalanceActive refusal it shares).
+func (c *Cluster) LoadShard(shard, off int, data []byte) error {
+	if c.migActive() {
+		return ErrRebalanceActive
+	}
+	return c.onShard([]int{shard}, func(g *replication.Pair) error { return g.Load(off, data) })
 }
 
 // dirtySpan records one global range a transaction mutated while a
@@ -375,81 +218,61 @@ func (s *ShardedCluster) Begin() (Tx, error) {
 // the commits make the bytes visible.
 type dirtySpan struct{ off, n int }
 
-// shardedTx routes transactional operations by offset. The hot-path
-// methods walk the placement split inline (closure-free) so a warmed
-// transaction performs no allocation; marks is only appended while a
-// rebalance is active.
-type shardedTx struct {
-	s     *ShardedCluster
-	open  []Tx
+// tx routes transactional operations by offset onto per-group transaction
+// handles. The hot-path methods walk the placement split inline
+// (closure-free) so a warmed transaction performs no allocation; marks is
+// only appended while a rebalance is active.
+type tx struct {
+	c     *Cluster
+	open  []replication.TxHandle
 	marks []dirtySpan
 	done  bool
 }
 
-var _ Tx = (*shardedTx)(nil)
+var _ Tx = (*tx)(nil)
 
-// at returns the transaction's handle on shard i, opening it on first
-// touch. The open table grows lazily when a rebalance added shards after
-// this handle was pooled.
-func (t *shardedTx) at(v *placeView, i int) (Tx, error) {
-	for len(t.open) < len(v.shards) {
+// route resolves the span at off under the current snapshot and admits
+// the owning group, opening its transaction on first touch (the open
+// table grows lazily when a rebalance added groups after this handle was
+// pooled). Admission can block behind a cut-over barrier holding the
+// group's transaction slot; if routing flipped meanwhile, ok is false and
+// the caller re-routes the span on the new table (the speculatively
+// admitted group simply stays open and idle until finish).
+func (t *tx) route(off int) (h replication.TxHandle, so, run int, ok bool, err error) {
+	v := t.c.view.Load()
+	i, so, run := v.table.Locate(off)
+	for len(t.open) < len(v.groups) {
 		t.open = append(t.open, nil)
 	}
 	if t.open[i] == nil {
-		tx, err := v.shards[i].Begin()
+		h, err := v.groups[i].Begin()
 		if err != nil {
-			return nil, fmt.Errorf("repro: shard %d: %w", i, err)
+			return nil, 0, 0, false, fmt.Errorf("repro: shard %d: %w", i, err)
 		}
-		t.open[i] = tx
+		t.open[i] = h
 	}
-	return t.open[i], nil
-}
-
-// mark records a mutated span for the delta resync when a range move is
-// in flight. Appending here is op-time bookkeeping only; the spans become
-// dirty marks in finish(), after commit makes the bytes visible.
-func (t *shardedTx) mark(off, n int) {
-	if !t.s.migActive() {
-		return
-	}
-	t.marks = append(t.marks, dirtySpan{off: off, n: n})
-}
-
-// route resolves one span under the current snapshot and acquires the
-// owning shard. Acquiring can block behind a cut-over barrier holding the
-// shard's transaction slot; if routing flipped meanwhile, ok is false and
-// the caller re-routes the span on the new table (the speculatively
-// acquired shard simply stays open and idle until finish).
-func (t *shardedTx) route(off int) (tx Tx, so, run int, ok bool, err error) {
-	v := t.s.v()
-	i, so, run := v.table.Locate(off)
-	tx, err = t.at(v, i)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	if t.s.v().table != v.table {
+	if t.c.view.Load().table != v.table {
 		return nil, 0, 0, false, nil
 	}
-	return tx, so, run, true, nil
+	return t.open[i], so, run, true, nil
 }
 
-func (t *shardedTx) SetRange(off, n int) error {
-	if err := t.s.checkRange(off, n); err != nil {
+// SetRange declares that [off, off+n) may be modified, capturing undo
+// information on each owning group.
+func (t *tx) SetRange(off, n int) error {
+	if err := t.c.checkRange(off, n); err != nil {
 		return err
 	}
 	for n > 0 {
-		tx, so, run, ok, err := t.route(off)
+		h, so, run, ok, err := t.route(off)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue
 		}
-		cnt := run
-		if cnt > n {
-			cnt = n
-		}
-		if err := tx.SetRange(so, cnt); err != nil {
+		cnt := min(run, n)
+		if err := h.SetRange(so, cnt); err != nil {
 			return err
 		}
 		off += cnt
@@ -458,52 +281,26 @@ func (t *shardedTx) SetRange(off, n int) error {
 	return nil
 }
 
-func (t *shardedTx) Write(off int, src []byte) error {
-	if err := t.s.checkRange(off, len(src)); err != nil {
+// Write stores src at database offset off, in place. While a range move
+// is in flight the span is recorded for the mover's delta resync.
+func (t *tx) Write(off int, src []byte) error {
+	if err := t.c.checkRange(off, len(src)); err != nil {
 		return err
 	}
-	pos := 0
-	for pos < len(src) {
-		tx, so, run, ok, err := t.route(off)
+	for pos := 0; pos < len(src); {
+		h, so, run, ok, err := t.route(off)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue
 		}
-		cnt := run
-		if cnt > len(src)-pos {
-			cnt = len(src) - pos
-		}
-		if err := tx.Write(so, src[pos:pos+cnt]); err != nil {
+		cnt := min(run, len(src)-pos)
+		if err := h.Write(so, src[pos:pos+cnt]); err != nil {
 			return err
 		}
-		t.mark(off, cnt)
-		off += cnt
-		pos += cnt
-	}
-	return nil
-}
-
-func (t *shardedTx) Read(off int, dst []byte) error {
-	if err := t.s.checkRange(off, len(dst)); err != nil {
-		return err
-	}
-	pos := 0
-	for pos < len(dst) {
-		tx, so, run, ok, err := t.route(off)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		cnt := run
-		if cnt > len(dst)-pos {
-			cnt = len(dst) - pos
-		}
-		if err := tx.Read(so, dst[pos:pos+cnt]); err != nil {
-			return err
+		if t.c.migActive() {
+			t.marks = append(t.marks, dirtySpan{off: off, n: cnt})
 		}
 		off += cnt
 		pos += cnt
@@ -511,49 +308,70 @@ func (t *shardedTx) Read(off int, dst []byte) error {
 	return nil
 }
 
-// Commit commits every touched shard in shard order. A mid-list failure
-// leaves earlier shards committed and later ones aborted — cross-shard
-// atomicity is out of scope (see the type comment) — and is reported as a
+// Read loads database bytes through the transaction.
+func (t *tx) Read(off int, dst []byte) error {
+	if err := t.c.checkRange(off, len(dst)); err != nil {
+		return err
+	}
+	for pos := 0; pos < len(dst); {
+		h, so, run, ok, err := t.route(off)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		cnt := min(run, len(dst)-pos)
+		if err := h.Read(so, dst[pos:pos+cnt]); err != nil {
+			return err
+		}
+		off += cnt
+		pos += cnt
+	}
+	return nil
+}
+
+// Commit commits every touched group in shard order. A mid-list failure
+// leaves earlier groups committed and later ones aborted — cross-group
+// atomicity is out of scope (see Cluster) — and is reported as a
 // *PartialCommitError naming both sets.
-func (t *shardedTx) Commit() error { return t.finish(true) }
+func (t *tx) Commit() error { return t.finish(true) }
 
-// Abort rolls every touched shard back.
-func (t *shardedTx) Abort() error { return t.finish(false) }
+// Abort rolls every touched group back.
+func (t *tx) Abort() error { return t.finish(false) }
 
-func (t *shardedTx) finish(commit bool) error {
+func (t *tx) finish(commit bool) error {
 	if t.done {
-		// Same sentinel a Cluster's completed handle returns, keeping the
-		// facades' error taxonomy identical.
 		return ErrTxDone
 	}
 	t.done = true
-	s := t.s
-	// Enter the finishing window before any per-shard release: the
+	c := t.c
+	// Enter the finishing window before any per-group release: the
 	// cut-over barrier holds the source's transaction slot and then waits
 	// for this counter, so every span below is marked dirty before the
 	// mover trusts its dirty set. Aborted spans re-mark too — harmless
 	// over-copy, never a miss.
 	fin := len(t.marks) > 0
 	if fin {
-		s.finishing.Add(1)
+		c.finishing.Add(1)
 	}
 	var firstErr, ackErr error
 	var pce *PartialCommitError
-	for i, tx := range t.open {
-		if tx == nil {
+	for i, h := range t.open {
+		if h == nil {
 			continue
 		}
 		switch {
 		case commit && firstErr == nil:
-			err := tx.Commit()
+			err := h.Commit()
 			switch {
 			case err == nil:
 			case errors.Is(err, ErrSafetyUnavailable):
-				// The shard committed locally but could not collect the
+				// The group committed locally but could not collect the
 				// configured acknowledgements (backups failed
 				// mid-transaction): its data is durable and visible, so
 				// it belongs to the committed set. Keep committing the
-				// remaining shards and surface the degradation.
+				// remaining groups and surface the degradation.
 				if ackErr == nil {
 					ackErr = fmt.Errorf("repro: shard %d: %w", i, err)
 				}
@@ -569,7 +387,7 @@ func (t *shardedTx) finish(commit bool) error {
 				firstErr = pce
 			}
 		default:
-			err := tx.Abort()
+			err := h.Abort()
 			if pce != nil {
 				pce.Aborted = append(pce.Aborted, i)
 			}
@@ -578,271 +396,23 @@ func (t *shardedTx) finish(commit bool) error {
 			}
 		}
 	}
-	for i := range t.open {
-		t.open[i] = nil
-	}
+	clear(t.open)
 	if fin {
 		for _, m := range t.marks {
-			s.markDirty(m.off, m.n)
+			c.markDirty(m.off, m.n)
 		}
-		s.finishing.Add(-1)
+		c.finishing.Add(-1)
 	}
 	t.marks = t.marks[:0]
-	s.txPool.Put(t)
-	if s.migActive() {
+	c.txPool.Put(t)
+	if c.migActive() {
 		// Ride the commit stream: every completed transaction buys the
 		// range mover a pacing slice (non-blocking; skipped when another
 		// goroutine is already pumping).
-		s.pump(false, false)
+		c.pump(false, false)
 	}
 	if firstErr == nil {
 		firstErr = ackErr
 	}
 	return firstErr
-}
-
-// Settle lets every shard's pending write buffers (and any open
-// group-commit batches) drain, and gives an active rebalance a paced
-// pump — so single-stream drivers that settle between phases keep the
-// mover deterministic.
-func (s *ShardedCluster) Settle() {
-	if s.migActive() {
-		s.pump(true, false)
-	}
-	for _, c := range s.v().shards {
-		c.Settle()
-	}
-}
-
-// Flush seals and ships every shard's open group-commit batch.
-func (s *ShardedCluster) Flush() error {
-	var firstErr error
-	for i, c := range s.v().shards {
-		if err := c.Flush(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("repro: shard %d: %w", i, err)
-		}
-	}
-	return firstErr
-}
-
-// CrashPrimary kills the selected shard's primary (default shard 0); the
-// other shards keep serving.
-func (s *ShardedCluster) CrashPrimary(shard ...int) error {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return err
-	}
-	return s.v().shards[i].CrashPrimary()
-}
-
-// Failover performs takeover on the selected shard (default shard 0).
-func (s *ShardedCluster) Failover(shard ...int) error {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return err
-	}
-	return s.v().shards[i].Failover()
-}
-
-// Repair restores the selected shard (default 0) to its configured
-// replication degree, blocking until the transfer completes (the other
-// shards keep serving throughout; so does the shard's own commit stream,
-// which interleaves with the chunked transfer).
-func (s *ShardedCluster) Repair(shard ...int) error {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return err
-	}
-	return s.v().shards[i].Repair()
-}
-
-// RepairAsync starts an online repair of the selected shard (default 0)
-// and returns immediately: the state transfer runs in the background of
-// the shard's commit stream. Watch RepairProgress for completion.
-func (s *ShardedCluster) RepairAsync(shard ...int) error {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return err
-	}
-	return s.v().shards[i].RepairAsync()
-}
-
-// RepairProgress reports the selected shard's current (or most recent)
-// online repair; the zero value is returned for an out-of-range selector.
-func (s *ShardedCluster) RepairProgress(shard ...int) RepairProgress {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return RepairProgress{}
-	}
-	return s.v().shards[i].RepairProgress()
-}
-
-// CrashBackup kills backup i of the selected shard (default shard 0).
-func (s *ShardedCluster) CrashBackup(i int, shard ...int) error {
-	si, err := s.checkShard(shard)
-	if err != nil {
-		return err
-	}
-	return s.v().shards[si].CrashBackup(i)
-}
-
-// PauseBackup partitions backup i of the selected shard (default 0) away
-// from its SAN; ResumeBackup reconnects it.
-func (s *ShardedCluster) PauseBackup(i int, shard ...int) error {
-	si, err := s.checkShard(shard)
-	if err != nil {
-		return err
-	}
-	return s.v().shards[si].PauseBackup(i)
-}
-
-// ResumeBackup reconnects a paused backup of the selected shard (default
-// 0); it stays gated until Repair or RepairAsync re-enrolls it.
-func (s *ShardedCluster) ResumeBackup(i int, shard ...int) error {
-	si, err := s.checkShard(shard)
-	if err != nil {
-		return err
-	}
-	return s.v().shards[si].ResumeBackup(i)
-}
-
-// Backups returns the selected shard's current backup count (default
-// shard 0; every shard is configured to the same degree); zero for an
-// out-of-range selector.
-func (s *ShardedCluster) Backups(shard ...int) int {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return 0
-	}
-	return s.v().shards[i].Backups()
-}
-
-// AutopilotEnabled reports whether the unattended failure loop is on
-// (configured uniformly across shards).
-func (s *ShardedCluster) AutopilotEnabled() bool {
-	return s.v().shards[0].AutopilotEnabled()
-}
-
-// Committed returns the committed-transaction total across all shards.
-// Never blocks the shards: per-shard counts are atomic.
-func (s *ShardedCluster) Committed() uint64 {
-	var total uint64
-	for _, c := range s.v().shards {
-		total += c.Committed()
-	}
-	return total
-}
-
-// Stats aggregates the per-shard transaction counters. Never blocks the
-// shards.
-func (s *ShardedCluster) Stats() Stats {
-	var out Stats
-	for _, c := range s.v().shards {
-		st := c.Stats()
-		out.Begins += st.Begins
-		out.Commits += st.Commits
-		out.Aborts += st.Aborts
-	}
-	return out
-}
-
-// NetTraffic aggregates SAN traffic across all shards' links.
-func (s *ShardedCluster) NetTraffic() Traffic {
-	var out Traffic
-	for _, c := range s.v().shards {
-		tr := c.NetTraffic()
-		out.ModifiedBytes += tr.ModifiedBytes
-		out.UndoBytes += tr.UndoBytes
-		out.MetaBytes += tr.MetaBytes
-		out.SyncBytes += tr.SyncBytes
-		out.ControlBytes += tr.ControlBytes
-	}
-	return out
-}
-
-// PartitionPrimary severs the selected shard's primary (default shard 0)
-// from the SAN (see Cluster.PartitionPrimary).
-func (s *ShardedCluster) PartitionPrimary(shard ...int) error {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return err
-	}
-	return s.v().shards[i].PartitionPrimary()
-}
-
-// AutopilotEvents aggregates the fault timelines of every shard's
-// autopilot, with each event stamped with its owning shard.
-func (s *ShardedCluster) AutopilotEvents() []FailureEvent {
-	var out []FailureEvent
-	for i, c := range s.v().shards {
-		for _, e := range c.AutopilotEvents() {
-			e.Shard = i
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Elapsed returns the wall-clock of the sharded deployment: the slowest
-// shard's simulated time since the last measurement reset. Shards run in
-// parallel on disjoint hardware, so aggregate throughput is total commits
-// divided by this maximum — which is why it grows with the shard count.
-// Never blocks the shards.
-func (s *ShardedCluster) Elapsed() time.Duration {
-	var max time.Duration
-	for _, c := range s.v().shards {
-		if e := c.Elapsed(); e > max {
-			max = e
-		}
-	}
-	return max
-}
-
-// ReplicaElapsed returns the wall-clock of the sharded deployment with
-// replica reads in play: the maximum over every shard's ReplicaElapsed.
-// Equals Elapsed when no backup served a read this interval.
-func (s *ShardedCluster) ReplicaElapsed() time.Duration {
-	var max time.Duration
-	for _, c := range s.v().shards {
-		if e := c.ReplicaElapsed(); e > max {
-			max = e
-		}
-	}
-	return max
-}
-
-// ResetMeasurement starts a fresh measured interval on every shard and
-// zeroes the deployment-level counters (placement gauges persist).
-func (s *ShardedCluster) ResetMeasurement() {
-	for _, c := range s.v().shards {
-		c.ResetMeasurement()
-	}
-	if s.reg != nil {
-		s.reg.Reset()
-	}
-}
-
-// Metrics merges every shard's observability snapshot plus the
-// deployment-level registry (rebalance instruments and placement events,
-// stamped shard -1): counters and gauges sum, same-name histograms merge
-// bucket-wise, and each per-shard event is stamped with its owning shard
-// before the timelines concatenate. The zero Snapshot with Config.Metrics
-// off. Never blocks the shards.
-func (s *ShardedCluster) Metrics() Metrics {
-	var out Metrics
-	for i, c := range s.v().shards {
-		snap := c.Metrics()
-		for j := range snap.Events {
-			snap.Events[j].Shard = i
-		}
-		out.Merge(snap)
-	}
-	if s.reg != nil {
-		snap := s.reg.Snapshot()
-		for j := range snap.Events {
-			snap.Events[j].Shard = -1
-		}
-		out.Merge(snap)
-	}
-	return out
 }

@@ -8,7 +8,7 @@ import (
 	"repro"
 )
 
-func newSharded(t *testing.T, shards int) *repro.ShardedCluster {
+func newSharded(t *testing.T, shards int) *repro.Cluster {
 	t.Helper()
 	sc, err := repro.NewSharded(repro.Config{
 		Version: repro.V3InlineLog,
@@ -35,8 +35,10 @@ func TestShardedValidation(t *testing.T) {
 	if sc.Capacity() < sc.DBSize() {
 		t.Fatalf("Capacity() %d below DBSize() %d", sc.Capacity(), sc.DBSize())
 	}
-	if sc.Shard(4) != nil || sc.Shard(-1) != nil {
-		t.Fatal("out-of-range Shard() not nil")
+	for _, bad := range []int{4, -1} {
+		if err := sc.CrashPrimary(bad); !errors.Is(err, repro.ErrNoSuchShard) {
+			t.Fatalf("CrashPrimary(%d) = %v, want ErrNoSuchShard", bad, err)
+		}
 	}
 	if got := sc.ShardFor(sc.ShardSize() + 1); got != 1 {
 		t.Fatalf("ShardFor = %d", got)
@@ -119,15 +121,15 @@ func TestShardedPartialCommit(t *testing.T) {
 	}
 	// The committed shard's write is visible; the aborted shard's is not.
 	got := make([]byte, 8)
-	sc.Shard(0).ReadRaw(0, got)
+	sc.ReadRaw(0, got)
 	if !bytes.Equal(got, []byte("spanning")) {
 		t.Fatal("committed shard 0 lost its write")
 	}
-	sc.Shard(2).ReadRaw(0, got)
+	sc.ReadRaw(2*sc.ShardSize(), got)
 	if !bytes.Equal(got, make([]byte, 8)) {
 		t.Fatal("aborted shard 2 kept the write")
 	}
-	if sc.Shard(0).Committed() != 1 || sc.Shard(2).Committed() != 0 {
+	if sc.Token(nil)[0] != 1 || sc.Token(nil)[2] != 0 {
 		t.Fatal("per-shard commit counts wrong after partial commit")
 	}
 }
@@ -159,8 +161,8 @@ func TestShardedAckDegradation(t *testing.T) {
 	}
 	// Kill a majority of shard 1's backups mid-transaction: its local
 	// commit succeeds but the quorum cannot acknowledge.
-	must(t, sc.Shard(1).CrashBackup(0))
-	must(t, sc.Shard(1).CrashBackup(1))
+	must(t, sc.CrashBackup(0, 1))
+	must(t, sc.CrashBackup(1, 1))
 	err = tx.Commit()
 	if !errors.Is(err, repro.ErrSafetyUnavailable) {
 		t.Fatalf("commit error %v, want ErrSafetyUnavailable", err)
@@ -171,7 +173,7 @@ func TestShardedAckDegradation(t *testing.T) {
 	}
 	// Every shard committed, the degraded one included.
 	for shard := 0; shard < 3; shard++ {
-		if got := sc.Shard(shard).Committed(); got != 1 {
+		if got := sc.Token(nil)[shard]; got != 1 {
 			t.Fatalf("shard %d Committed() = %d, want 1", shard, got)
 		}
 	}
@@ -198,20 +200,14 @@ func TestShardedRouting(t *testing.T) {
 		t.Fatal("spanning write not readable back")
 	}
 	// Each side is on its own shard.
-	half := make([]byte, 64)
-	sc.Shard(0).ReadRaw(sc.ShardSize()-64, half)
-	if !bytes.Equal(half, payload[:64]) {
-		t.Fatal("left half missing on shard 0")
-	}
-	sc.Shard(1).ReadRaw(0, half)
-	if !bytes.Equal(half, payload[64:]) {
-		t.Fatal("right half missing on shard 1")
+	if sc.ShardFor(boundary-64) != 0 || sc.ShardFor(boundary) != 1 {
+		t.Fatal("the halves are not routed to shards 0 and 1")
 	}
 	// Both touched shards committed; untouched shards did not.
-	if sc.Shard(0).Committed() != 1 || sc.Shard(1).Committed() != 1 {
+	if sc.Token(nil)[0] != 1 || sc.Token(nil)[1] != 1 {
 		t.Fatal("touched shards did not commit")
 	}
-	if sc.Shard(2).Committed() != 0 || sc.Shard(3).Committed() != 0 {
+	if sc.Token(nil)[2] != 0 || sc.Token(nil)[3] != 0 {
 		t.Fatal("untouched shards committed")
 	}
 	if sc.Committed() != 2 {
@@ -225,6 +221,23 @@ func TestShardedRouting(t *testing.T) {
 	must(t, sc.Read(boundary-64, got))
 	if !bytes.Equal(got, payload) {
 		t.Fatal("charged read mismatch")
+	}
+	// Each half sits in its own group's storage at the group-local offset
+	// the global-to-local mapping promises (read past placement).
+	half := make([]byte, 64)
+	for _, side := range []struct {
+		shard, local int
+		want         []byte
+	}{{0, sc.ShardSize() - 64, payload[:64]}, {1, 0, payload[64:]}} {
+		gtx, err := sc.BeginShard(side.shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		must(t, gtx.Read(side.local, half))
+		must(t, gtx.Abort())
+		if !bytes.Equal(half, side.want) {
+			t.Fatalf("shard %d does not hold its half at local offset %d", side.shard, side.local)
+		}
 	}
 }
 
